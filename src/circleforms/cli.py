@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import acceptance
 from .equivalence import decide_equiv, verify_certificate
 from .forms import (
     CASE12_WEIGHTS,
@@ -39,7 +38,7 @@ from .forms import (
 from .gaussian import format_rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
-from .oracle import search_conjugator
+from .oracle import MAX_DEG_BOUND, search_conjugator
 from .polymaps import is_involution, o2_relation_check, weight_check
 from .quotient import induced_images, make_invariants, verify_relation
 from . import equivalence
@@ -185,10 +184,10 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = _require_m(args.m)
+    if args.deg is None or not 0 <= args.deg <= MAX_DEG_BOUND:
+        raise UsageError(f"--deg must be an integer from 0 to {MAX_DEG_BOUND}")
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
-    if args.deg is None or args.deg < 0:
-        raise UsageError("--deg must be a nonnegative integer")
     grid = parse_r_grid(args.r_grid) if args.r_grid else [Fraction(1), Fraction(-1)]
     found = search_conjugator(h, h2, m, args.deg, grid)
     payload = [{"r": format_rational(r), "N": conj.to_json()} for r, conj in found]
@@ -244,6 +243,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance  # imported here: no other subcommand needs it
+
     ok = acceptance.run_all(report=print)
     print("selftest: all criteria passed" if ok else "selftest: FAILURES above")
     return 0 if ok else 1
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--file", help="input JSON document")
         if deg:
             p.add_argument("--deg", type=int, default=6,
-                           help="degree bound for conjugator entries (default 6)")
+                           help="degree bound for conjugator entries, "
+                                f"0..{MAX_DEG_BOUND} (default 6)")
         if r_grid:
             p.add_argument("--r-grid", dest="r_grid",
                            help="comma-separated nonzero rationals (default '1,-1')")

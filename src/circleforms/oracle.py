@@ -10,13 +10,16 @@ matrices U and V,
     U * M = M' * swap(U)      and      V * M = -M' * swap(V),
 
 where swap is the galois rearrangement without conjugation.  Each block is
-an exact rational nullspace computation.
+an exact nullspace computation, done by fraction-free elimination over the
+integers after one common denominator is cleared.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
 itself.  Membership filtering (det a nonzero constant) is a quadratic
 condition, so the affine solution set is scanned rather than solved: single
-basis vectors and +-1 combinations of up to two of them.  That scan is a
+basis vectors and +-1 combinations of up to two of them.  Each candidate's
+determinant is tested with integer polynomial products first; only those
+with a nonzero constant determinant are built as matrices.  That scan is a
 heuristic, but every candidate that survives it is verified exactly before
 being returned, so false positives are impossible.
 """
@@ -24,9 +27,11 @@ being returned, so false positives are impossible.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Iterator, Optional, Sequence
 
 from .forms import FormSpec, make_twist, splitting_entries
 from .gaussian import GaussianRational, Rational
@@ -37,14 +42,18 @@ VarLabel = tuple[str, int, str]  # (entry P/Q/S/R, exponent, "re" or "im")
 
 ENTRIES = ("P", "Q", "S", "R")
 
+# Largest entry degree a search accepts: the systems have 4*(deg+1) unknowns
+# and the scan is quadratic in the kernel dimension.
+MAX_DEG_BOUND = 16
+
 
 @dataclass
 class LinearSystem:
-    """Rows of exact rational coefficients, a right-hand side, and a label
-    for each column saying which matrix coefficient it stands for."""
+    """Rows of exact integer or rational coefficients, a right-hand side, and
+    a label for each column saying which matrix coefficient it stands for."""
 
-    rows: list[list[Fraction]]
-    rhs: list[Fraction]
+    rows: list[list[Rational]]
+    rhs: list[Rational]
     labels: list[VarLabel]
 
     def __post_init__(self):
@@ -55,9 +64,28 @@ class LinearSystem:
             raise ValueError("row width does not match labels")
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [row[:] for row in rows if any(row)]
+def _scaled(row: Sequence[Rational]) -> tuple[list[int], int]:
+    """(den * row, den) with den the least common denominator of the row."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _rref(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z.
+
+    Returns (rows, pivots): primitive integer rows, each zero in every other
+    pivot column.  Dividing each row by its pivot entry gives the reduced
+    row echelon form, which is unique.  Each update (a/g)*row - (f/g)*lead,
+    with g = gcd(a, f), is a nonzero multiple of the rational update
+    row - (f/a)*lead, so the pivots are those of rational elimination.
+    Denominators are cleared row by row on entry."""
+    work = [_primitive(_scaled(row)[0]) for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -69,15 +97,14 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        if inv != 1:
-            work[r] = [v * inv for v in work[r]]
         lead = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row = work[i]
-                work[i] = [a - f * b if b else a for a, b in zip(row, lead)]
+        a = lead[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = gcd(a, f)
+                ag, fg = a // g, f // g
+                work[i] = _primitive([ag * x - fg * y for x, y in zip(row, lead)])
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -102,7 +129,7 @@ def nullspace(system: LinearSystem) -> list[list[Fraction]]:
         vec[free] = Fraction(1)
         for row, p in zip(rref_rows, pivots):
             if row[free]:
-                vec[p] = -row[free]
+                vec[p] = Fraction(-row[free], row[p])
         basis.append(vec)
     return basis
 
@@ -118,33 +145,32 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction],
     for row, p in zip(rref_rows, pivots):
         if p == ncols:  # pivot in the rhs column: the system is inconsistent
             return None
-        solution[p] = row[ncols]
+        solution[p] = Fraction(row[ncols], row[p])
     return solution
-
-
-def _real_entry_coeffs(p: LaurentPoly, name: str) -> dict[int, Fraction]:
-    coeffs = {}
-    for e, c in p.items():
-        if not c.is_real:
-            raise ValueError(f"{name} must be real for the split search")
-        coeffs[e] = Fraction(c.re)
-    return coeffs
 
 
 def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
                        deg_bound: int, sign: int,
                        component: str) -> LinearSystem:
     """Equations for X * M_src = sign * M_dst * swap(X) with X a real
-    polynomial structured matrix of entry degree <= deg_bound."""
+    polynomial structured matrix of entry degree <= deg_bound.  Both sides
+    are scaled by one common denominator of the coefficients of M_src and
+    M_dst, so the rows are integers and the kernel is unchanged."""
     e = m_src.e
     width = deg_bound + 1
     labels: list[VarLabel] = [(entry, j, component) for entry in ENTRIES for j in range(width)]
     var = {(entry, j): ENTRIES.index(entry) * width + j for entry in ENTRIES for j in range(width)}
 
-    src = {name: _real_entry_coeffs(p, f"source {name}")
-           for name, p in zip(ENTRIES, m_src.entries())}
-    dst = {name: _real_entry_coeffs(p, f"target {name}")
-           for name, p in zip(ENTRIES, m_dst.entries())}
+    polys = [*m_src.entries(), *m_dst.entries()]
+    for idx, p in enumerate(polys):
+        if not p.is_real:
+            side = "source" if idx < 4 else "target"
+            raise ValueError(f"{side} {ENTRIES[idx % 4]} must be real for the split search")
+    den = lcm(*(c.re.denominator for p in polys for _, c in p.items()))
+    scaled = [{k: c.re.numerator * (den // c.re.denominator) for k, c in p.items()}
+              for p in polys]
+    src = dict(zip(ENTRIES, scaled[:4]))
+    dst = dict(zip(ENTRIES, scaled[4:]))
 
     # X * M_src entries, with X = (p, q, s, r) unknown:
     #   P: p*P + T^e q*S      Q: p*Q + q*R
@@ -163,19 +189,18 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
               ("S", dst["S"], -sign, e), ("P", dst["R"], -sign, 0)],
     }
 
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    rows: list[list[int]] = []
     for entry, products in terms.items():
-        by_exponent: dict[int, dict[int, Fraction]] = {}
-        for unknown, known, factor, shift in products:
+        by_exponent: dict[int, dict[int, int]] = {}
+        for unknown, coeffs, factor, shift in products:
             for j in range(width):
                 col = var[(unknown, j)]
-                for k, coeff in known.items():
+                for k, coeff in coeffs.items():
                     t = j + k + shift
                     row = by_exponent.setdefault(t, {})
-                    row[col] = row.get(col, zero) + factor * coeff
+                    row[col] = row.get(col, 0) + factor * coeff
         for t in sorted(by_exponent):
-            dense = [zero] * len(labels)
+            dense = [0] * len(labels)
             nonzero = False
             for col, coeff in by_exponent[t].items():
                 if coeff:
@@ -183,7 +208,7 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
                     nonzero = True
             if nonzero:
                 rows.append(dense)
-    return LinearSystem(rows=rows, rhs=[zero] * len(rows), labels=labels)
+    return LinearSystem(rows=rows, rhs=[0] * len(rows), labels=labels)
 
 
 def _vector_to_entries(vec: Sequence[Fraction], deg_bound: int) -> list[dict[int, Fraction]]:
@@ -223,43 +248,111 @@ def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
     return candidate * m_src * galois_inverse == m_dst
 
 
+IntCandidate = tuple[Optional[list[int]], Optional[list[int]], int]
+
+
+def _candidates(re_basis: Sequence[Sequence[Fraction]],
+                im_basis: Sequence[Sequence[Fraction]]) -> Iterator[IntCandidate]:
+    """The scanned combinations (u, v) of the two kernel bases, in scan
+    order: single basis vectors, then +-1 sums of two real or of two
+    imaginary ones, then u +- i*v.  Each is (U, V, c) with integer vectors
+    U = c*u and V = c*v (None for an absent part) and c > 0."""
+    re_int = [_scaled(u) for u in re_basis]
+    im_int = [_scaled(v) for v in im_basis]
+
+    def pair_sums(basis):
+        for i, (a, da) in enumerate(basis):
+            for b, db in basis[i + 1:]:
+                yield [db * x + da * y for x, y in zip(a, b)], da * db
+                yield [db * x - da * y for x, y in zip(a, b)], da * db
+
+    for u, du in re_int:
+        yield u, None, du
+    for v, dv in im_int:
+        yield None, v, dv
+    for u, c in pair_sums(re_int):
+        yield u, None, c
+    for v, c in pair_sums(im_int):
+        yield None, v, c
+    for u, du in re_int:
+        for v, dv in im_int:
+            uu = [dv * x for x in u]
+            vv = [du * y for y in v]
+            yield uu, vv, du * dv
+            yield uu, [-y for y in vv], du * dv
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two dense ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _det_parts(p: list[int], r: list[int], q: list[int], s: list[int],
+               e: int) -> list[int]:
+    """Coefficients of P*R - T^e*Q*S for dense integer entries."""
+    out = _poly_mul(p, r)
+    qs = _poly_mul(q, s)
+    out += [0] * (e + len(qs) - len(out))
+    for k, c in enumerate(qs):
+        out[e + k] -= c
+    return out
+
+
+def _det_is_unit(e: int, width: int, u: Optional[Sequence[int]],
+                 v: Optional[Sequence[int]]) -> bool:
+    """Whether det(U + iV) is a nonzero constant, for integer coefficient
+    vectors laid out as in the conjugation blocks (None for a zero part).
+    Computed with dense integer products; a common scale c of U and V
+    multiplies det by c^2, which changes neither property."""
+    def entries(vec):
+        return [vec[k * width:(k + 1) * width] for k in range(4)]
+
+    if u is None or v is None:
+        # det(U) or det(iV) = -det(V): one real determinant
+        p, q, s, r = entries(u if v is None else v)
+        det = _det_parts(p, r, q, s, e)
+        return bool(det[0]) and not any(det[1:])
+    pu, qu, su, ru = entries(u)
+    pv, qv, sv, rv = entries(v)
+    # (Pu + iPv)(Ru + iRv) - T^e (Qu + iQv)(Su + iSv), split into parts
+    re_uu = _det_parts(pu, ru, qu, su, e)
+    re_vv = _det_parts(pv, rv, qv, sv, e)
+    if any(a != b for a, b in zip(re_uu[1:], re_vv[1:])):
+        return False
+    im_a = _det_parts(pu, rv, qu, sv, e)
+    im_b = _det_parts(pv, ru, qv, su, e)
+    if any(a + b for a, b in zip(im_a[1:], im_b[1:])):
+        return False
+    return bool(re_uu[0] - re_vv[0]) or bool(im_a[0] + im_b[0])
+
+
 def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
                         deg_bound: int) -> list[StructuredMatrix]:
-    """All verified conjugators found by the bounded-degree nullspace scan."""
+    """All verified conjugators found by the bounded-degree nullspace scan.
+
+    Only candidates whose determinant passes the integer test of
+    ``_det_is_unit`` are built as matrices; each of those is still checked
+    in full by ``verify_conjugation``."""
     if m_src.e != m_dst.e:
         raise ValueError("cross-exponent mismatch")
+    e = m_src.e
+    width = deg_bound + 1
     re_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, +1, "re"))
     im_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, -1, "im"))
 
-    candidates: list[tuple[Optional[list[Fraction]], Optional[list[Fraction]]]] = []
-    for u in re_basis:
-        candidates.append((u, None))
-    for v in im_basis:
-        candidates.append((None, v))
-
-    def add_vec(a, b, flip):
-        return [x + (-y if flip else y) for x, y in zip(a, b)]
-
-    for i in range(len(re_basis)):
-        for j in range(i + 1, len(re_basis)):
-            for flip in (False, True):
-                candidates.append((add_vec(re_basis[i], re_basis[j], flip), None))
-    for i in range(len(im_basis)):
-        for j in range(i + 1, len(im_basis)):
-            for flip in (False, True):
-                candidates.append((None, add_vec(im_basis[i], im_basis[j], flip)))
-    for u in re_basis:
-        for v in im_basis:
-            for flip in (False, True):
-                candidates.append((u, [-x for x in v] if flip else v))
-
     found = []
     seen = set()
-    for re_vec, im_vec in candidates:
-        matrix = _build_matrix(m_src.e, re_vec, im_vec, deg_bound)
-        det = matrix.det()
-        if det.is_zero or not det.is_constant:
+    for u, v, c in _candidates(re_basis, im_basis):
+        if not _det_is_unit(e, width, u, v):
             continue
+        re_vec = None if u is None else [Fraction(x, c) for x in u]
+        im_vec = None if v is None else [Fraction(y, c) for y in v]
+        matrix = _build_matrix(e, re_vec, im_vec, deg_bound)
         if matrix in seen:
             continue
         if verify_conjugation(matrix, m_src, m_dst):
@@ -269,12 +362,25 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
 
 
 def worker_count() -> int:
-    """Parallelism cap from the REALFORMS_THREADS environment variable."""
+    """Parallelism cap from the REALFORMS_THREADS environment variable;
+    a value that is not a positive integer is reported on stderr and
+    counts as 1."""
+    raw = os.environ.get("REALFORMS_THREADS", "1")
     try:
-        value = int(os.environ.get("REALFORMS_THREADS", "1"))
+        value = int(raw)
     except ValueError:
+        value = 0
+    if value < 1:
+        print(f"warning: REALFORMS_THREADS={raw!r} is not a positive integer; using 1",
+              file=sys.stderr)
         return 1
-    return max(value, 1)
+    return value
+
+
+def pool_size(requested: int, jobs: int, cpus: Optional[int]) -> int:
+    """Worker processes for a search: never more than requested, than jobs
+    to run, or than CPUs (``os.cpu_count()``, which may be None)."""
+    return min(requested, jobs, cpus or 1)
 
 
 def _search_one(args):
@@ -288,19 +394,20 @@ def _search_one(args):
 def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
                       r_grid: Sequence[Rational]) -> list[tuple[Rational, StructuredMatrix]]:
     """For each r in the grid, search for N with N*M_h = M_h''*gamma(N) where
-    h'' = r*h2(r^2 T), degree of N capped at deg_bound.  Every result is
-    exactly verified; an empty list is a valid (non-)finding."""
-    if deg_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+    h'' = r*h2(r^2 T), degree of N capped at deg_bound (0..MAX_DEG_BOUND).
+    Every result is exactly verified; an empty list is a valid
+    (non-)finding."""
+    if not 0 <= deg_bound <= MAX_DEG_BOUND:
+        raise ValueError(f"degree bound must be in 0..{MAX_DEG_BOUND}")
     grid = [Fraction(r) for r in r_grid]
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
     jobs = [(h, h2, m, deg_bound, r) for r in grid]
-    threads = worker_count()
-    if threads > 1 and len(jobs) > 1:
+    workers = pool_size(worker_count(), len(jobs), os.cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_r = list(pool.map(_search_one, jobs))
     else:
         per_r = [_search_one(job) for job in jobs]

@@ -1,0 +1,109 @@
+"""Reference oracle: rational Gauss-Jordan elimination and the candidate scan
+on ``Fraction`` vectors, kept as the slow path that the integer routines in
+``circleforms.oracle`` are checked against.  Not used by the package."""
+
+from fractions import Fraction
+from typing import Optional
+
+from circleforms.oracle import _build_matrix, _conjugation_block, verify_conjugation
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    work = [[Fraction(v) for v in row] for row in rows if any(row)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        if inv != 1:
+            work[r] = [v * inv for v in work[r]]
+        lead = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                row = work[i]
+                work[i] = [a - f * b if b else a for a, b in zip(row, lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+def fraction_nullspace(rows, ncols):
+    rref_rows, pivots = fraction_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(rref_rows, pivots):
+            if row[free]:
+                vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def fraction_solve_linear(rows, rhs, ncols) -> Optional[list]:
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    rref_rows, pivots = fraction_rref(augmented, ncols + 1)
+    solution = [Fraction(0)] * ncols
+    for row, p in zip(rref_rows, pivots):
+        if p == ncols:
+            return None
+        solution[p] = row[ncols]
+    return solution
+
+
+def reference_candidates(re_basis, im_basis):
+    """The scanned combinations as (u, v) Fraction vectors, in scan order."""
+    def add_vec(a, b, flip):
+        return [x + (-y if flip else y) for x, y in zip(a, b)]
+
+    candidates = [(u, None) for u in re_basis] + [(None, v) for v in im_basis]
+    for basis, real in ((re_basis, True), (im_basis, False)):
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                for flip in (False, True):
+                    vec = add_vec(basis[i], basis[j], flip)
+                    candidates.append((vec, None) if real else (None, vec))
+    for u in re_basis:
+        for v in im_basis:
+            for flip in (False, True):
+                candidates.append((u, [-x for x in v] if flip else v))
+    return candidates
+
+
+def reference_bases(m_src, m_dst, deg_bound):
+    ncols = 4 * (deg_bound + 1)
+    return tuple(fraction_nullspace(_conjugation_block(m_src, m_dst, deg_bound, sign, part).rows,
+                                    ncols)
+                 for sign, part in ((+1, "re"), (-1, "im")))
+
+
+def reference_conjugators_between(m_src, m_dst, deg_bound):
+    """The scan with every candidate built as a matrix and filtered by
+    ``StructuredMatrix.det``."""
+    found = []
+    seen = set()
+    for re_vec, im_vec in reference_candidates(*reference_bases(m_src, m_dst, deg_bound)):
+        matrix = _build_matrix(m_src.e, re_vec, im_vec, deg_bound)
+        det = matrix.det()
+        if det.is_zero or not det.is_constant:
+            continue
+        if matrix in seen:
+            continue
+        if verify_conjugation(matrix, m_src, m_dst):
+            seen.add(matrix)
+            found.append(matrix)
+    return found

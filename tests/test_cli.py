@@ -151,6 +151,24 @@ class TestOracle:
         assert code == 0
         assert "not a proof of inequivalence" in out
 
+    @pytest.mark.parametrize("deg", ["10000", "17", "-1"])
+    def test_degree_out_of_range_refused_before_search(self, capsys, monkeypatch, deg):
+        def no_search(*args):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(cli, "search_conjugator", no_search)
+        monkeypatch.setattr(cli, "parse_poly", no_search)
+        code, out, err = run(capsys, "oracle", "--m", "1", "--h", "0", "--hp", "1",
+                             "--deg", deg)
+        assert code == 2
+        assert out == ""
+        assert "--deg must be an integer from 0 to 16" in err
+
+    def test_degree_cap_admits_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "search_conjugator", lambda *args: [])
+        code, _, _ = run(capsys, "oracle", "--m", "1", "--h", "0", "--hp", "1", "--deg", "16")
+        assert code == 0
+
 
 class TestCase12AndQuotient:
     def test_case12(self, capsys):

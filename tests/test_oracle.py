@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -22,7 +24,13 @@ from circleforms import (
     search_conjugator,
     verify_conjugation,
 )
-from circleforms.oracle import _conjugation_block, solve_linear, worker_count
+from circleforms.oracle import (
+    MAX_DEG_BOUND,
+    _conjugation_block,
+    pool_size,
+    solve_linear,
+    worker_count,
+)
 
 from strategies import real_polys
 
@@ -212,6 +220,57 @@ class TestSearch:
         assert worker_count() == 1
         monkeypatch.delenv("REALFORMS_THREADS")
         assert worker_count() == 1
+
+    @pytest.mark.parametrize("value", ["not-a-number", "0", "-3", ""])
+    def test_invalid_thread_count_warns_once(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("REALFORMS_THREADS", value)
+        assert search_conjugator(one, one, 1, 1, [F(1), F(-1)])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "REALFORMS_THREADS" in err
+
+    def test_valid_thread_count_is_silent(self, monkeypatch, capsys):
+        monkeypatch.setenv("REALFORMS_THREADS", "3")
+        assert worker_count() == 3
+        assert capsys.readouterr().err == ""
+
+    def test_pool_size_clamp(self):
+        assert pool_size(1, 6, 2) == 1
+        assert pool_size(4, 6, 2) == 2
+        assert pool_size(4, 3, 8) == 3
+        assert pool_size(2, 1, 8) == 1
+        assert pool_size(4, 6, None) == 1
+
+    def test_search_clamps_the_pool(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("REALFORMS_THREADS", "8")
+        pooled = search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1), F(1, 2), F(2)])
+        assert sizes == [2]
+        search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1, 2)])
+        assert sizes == [2]  # one job: no pool
+        monkeypatch.setenv("REALFORMS_THREADS", "1")
+        assert search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1), F(1, 2), F(2)]) == pooled
+        assert sizes == [2]
+
+    def test_degree_cap(self):
+        with pytest.raises(ValueError):
+            search_conjugator(one, one, 1, MAX_DEG_BOUND + 1, [F(1)])
 
 
 ALPHA_GRID = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(1, 1))
