@@ -42,6 +42,7 @@ from .equivalence import (
     case_m2_conditions,
     classify,
     decide_equiv,
+    equivalence_key,
     verify_certificate,
 )
 from .oracle import (
@@ -80,6 +81,7 @@ __all__ = [
     "compose",
     "conjugators_between",
     "decide_equiv",
+    "equivalence_key",
     "expand",
     "format_rational",
     "geometric_sum",

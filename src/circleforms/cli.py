@@ -3,8 +3,11 @@
 Subcommands: verify-form, equiv, verify-certificate, classify, oracle,
 case12, quotient, selftest.  Exit codes are a stable contract: 0 for
 success or a positive verdict, 1 for a verified negative (inequivalent,
-check failed, certificate invalid), 2 for usage errors.  Usage errors are
-caught before any kernel computation runs.
+check failed, certificate invalid), 2 for usage errors, 3 for internal
+errors.  Usage errors are caught before any kernel computation runs (an
+unwritable --out path is the one found afterwards).  Any other exception is
+a bug: it is reported as "internal error:" with its traceback on stderr, so
+it can never be mistaken for a verdict or for bad input.
 
 Polynomials are entered as ascending comma-separated rational coefficient
 lists ("2,8" is 2 + 8T).  JSON schemas are documented in the README; all
@@ -52,6 +55,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# What reading a JSON input document can raise on bad content: a missing or
+# unreadable file, malformed or too deeply nested JSON, a wrong shape, and
+# numbers such as "1/0" or Infinity that have no rational value.
+_LOAD_ERRORS = (OSError, KeyError, ValueError, TypeError, ArithmeticError, RecursionError)
+
 _GAUSSIAN_TOKEN = re.compile(r"^[0-9+/\- ]*i[0-9+/\- ]*$")
 
 
@@ -86,6 +94,14 @@ def _require_m(m: Optional[int]) -> int:
     if m is None or m < 1:
         raise UsageError("--m must be a positive integer")
     return m
+
+
+def _write_json(path: str, obj) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(obj))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _emit(args, human_lines: Sequence[str], payload) -> None:
@@ -133,8 +149,7 @@ def cmd_equiv(args) -> int:
     if args.out:
         if result.certificate is not None:
             r, conj = result.certificate
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json({"r": format_rational(r), "N": conj.to_json()}))
+            _write_json(args.out, {"r": format_rational(r), "N": conj.to_json()})
             lines.append(f"certificate written to {args.out}")
         else:
             lines.append("no certificate to write (no rational witness)")
@@ -153,8 +168,10 @@ def cmd_verify_certificate(args) -> int:
             doc = json.load(fh)
         r = Fraction(doc["r"])
         conj = StructuredMatrix.from_json(doc["N"])
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except _LOAD_ERRORS as exc:
         raise UsageError(f"cannot load certificate: {exc}")
+    if conj.e != 2 * m + 1:
+        raise UsageError(f"certificate matrix has e = {conj.e}, expected {2 * m + 1} for m = {m}")
     ok = verify_certificate(h, h2, m, r, conj)
     _emit(args, [f"certificate {'valid' if ok else 'INVALID'}"],
           {"valid": ok, "r": format_rational(r)})
@@ -171,7 +188,7 @@ def cmd_classify(args) -> int:
         raw_forms = doc["forms"] if isinstance(doc, dict) else doc
         forms = [LaurentPoly.from_coeffs([Fraction(c) for c in coeffs])
                  for coeffs in raw_forms]
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except _LOAD_ERRORS as exc:
         raise UsageError(f"cannot load forms: {exc}")
     classes = equivalence.classify(forms, m)
     lines = [f"{len(forms)} forms fall into {len(classes)} classes"]
@@ -198,8 +215,7 @@ def cmd_oracle(args) -> int:
     if not found:
         lines.append("  none found at this bound (not a proof of inequivalence)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
+        _write_json(args.out, payload)
         lines.append(f"findings written to {args.out}")
     _emit(args, lines, payload)
     return 0
@@ -312,9 +328,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

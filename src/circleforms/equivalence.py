@@ -20,6 +20,10 @@ variant of this reduction would be wrong).
 r itself is rational iff rho_p has a rational (2p+1)-th root; only then is an
 explicit conjugating certificate produced (an irrational witness would need
 an algebraic-number field, which this package deliberately avoids).
+
+Separating the two forms in the cross condition gives a complete invariant of
+one form (equivalence_key), so classify finds the classes by grouping, not
+by pairwise decisions.
 """
 
 from __future__ import annotations
@@ -179,40 +183,53 @@ def case_m2_conditions(c0: Rational, c1: Rational,
     return False
 
 
-def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
-    """Partition indices of `forms` into equivalence classes.
+def equivalence_key(h: LaurentPoly, m: int) -> tuple:
+    """Complete invariant of mu_h: two forms are equivalent exactly when
+    their keys are equal.
 
-    Pairwise decisions feed a union-find; afterwards the partition is checked
-    against every pairwise verdict, so an intransitive decision procedure
-    (impossible in theory) would be caught rather than silently absorbed.
+    The key is (S, ratios) with S the ascending support of h mod T^m, p = min S
+    and ratios the values c_j^(2p+1) / c_p^(2j+1) for j in S.  Under
+    c_j -> r^(2j+1) c_j both powers pick up r^((2j+1)(2p+1)), so the ratios are
+    invariant; equality of two keys is the cross condition decide_equiv checks.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    _require_real_poly(h, "h")
+    coeffs = {e: Fraction(c.re) for e, c in h.truncate_mod(m).items()}
+    support = tuple(sorted(coeffs))
+    if not support:
+        return (), ()
+    p = support[0]
+    c_p = coeffs[p]
+    return support, tuple(coeffs[j] ** (2 * p + 1) / c_p ** (2 * j + 1) for j in support)
+
+
+def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
+    """Partition indices of `forms` into equivalence classes, ordered by their
+    first index.
+
+    Forms are grouped by equivalence_key.  The grouping is then checked with
+    decide_equiv: every member against its class representative (the first
+    index) and the representatives pairwise, so a key that merged or split a
+    class would be caught rather than silently returned.  That costs
+    (n - k) + k(k-1)/2 decisions for n forms in k classes.
+    """
+    groups: dict[tuple, list[int]] = {}
     for i, h in enumerate(forms):
         _require_real_poly(h, f"forms[{i}]")
-    count = len(forms)
-    parent = list(range(count))
+        groups.setdefault(equivalence_key(h, m), []).append(i)
+    classes = list(groups.values())
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def same(i: int, j: int) -> bool:
+        return decide_equiv(forms[i], forms[j], m, with_certificate=False).equivalent
 
-    verdict = {}
-    for i in range(count):
-        for j in range(i + 1, count):
-            same = decide_equiv(forms[i], forms[j], m, with_certificate=False).equivalent
-            verdict[(i, j)] = same
-            if same:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    for (i, j), same in verdict.items():
-        if (find(i) == find(j)) != same:
-            raise InternalConsistencyError(
-                f"equivalence verdicts are not transitive at pair ({i}, {j})")
-
-    classes: dict[int, list[int]] = {}
-    for i in range(count):
-        classes.setdefault(find(i), []).append(i)
-    return [classes[root] for root in sorted(classes)]
+    for rep, *members in classes:
+        for i in members:
+            if not same(rep, i):
+                raise InternalConsistencyError(f"forms {rep} and {i} share a key but are inequivalent")
+    reps = [members[0] for members in classes]
+    for a, i in enumerate(reps):
+        for j in reps[a + 1:]:
+            if same(i, j):
+                raise InternalConsistencyError(f"forms {i} and {j} have different keys but are equivalent")
+    return classes

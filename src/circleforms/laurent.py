@@ -141,13 +141,6 @@ class LaurentPoly:
             raise ValueError("apply_scaling is defined for real inputs")
         return LaurentPoly({e: c * r ** (2 * e + 1) for e, c in self._terms.items()})
 
-    def substitute_power(self, scale: RationalLike, power: int = 1) -> "LaurentPoly":
-        """p(scale * T^power) for nonzero rational scale and power >= 1."""
-        scale = Fraction(scale)
-        if not scale:
-            raise ValueError("substitution scale must be nonzero")
-        return LaurentPoly({e * power: c * scale ** e for e, c in self._terms.items()})
-
     def _binary(self, other, sign: int) -> "LaurentPoly":
         acc = dict(self._terms)
         for e, c in other._terms.items():

@@ -18,10 +18,9 @@ the holomorphic bundle twist does the same swap without conjugation.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Optional
 
-from .gaussian import GaussianRational, RationalLike
+from .gaussian import GaussianRational
 from .laurent import LaurentPoly
 
 
@@ -92,22 +91,6 @@ class StructuredMatrix:
             scale * (-self.Q),
             scale * (-self.S),
             scale * self.P,
-        )
-
-    def base_rescale(self, r: RationalLike) -> "StructuredMatrix":
-        """Substitute (a, b) -> (ra, rb): T -> r^2 T everywhere, and the
-        off-diagonal entries pick up the factor r^e from a^e, b^e."""
-        r = Fraction(r)
-        if not r:
-            raise ValueError("rescale factor must be nonzero")
-        r2 = r * r
-        re = r ** self.e
-        return StructuredMatrix(
-            self.e,
-            self.P.substitute_power(r2),
-            self.Q.substitute_power(r2) * re,
-            self.S.substitute_power(r2) * re,
-            self.R.substitute_power(r2),
         )
 
     def membership(self) -> Membership:

@@ -49,16 +49,13 @@ MAX_DEG_BOUND = 16
 
 @dataclass
 class LinearSystem:
-    """Rows of exact integer or rational coefficients, a right-hand side, and
-    a label for each column saying which matrix coefficient it stands for."""
+    """Rows of exact integer or rational coefficients of a homogeneous system,
+    and a label for each column saying which matrix coefficient it stands for."""
 
     rows: list[list[Rational]]
-    rhs: list[Rational]
     labels: list[VarLabel]
 
     def __post_init__(self):
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("row/rhs length mismatch")
         width = len(self.labels)
         if any(len(r) != width for r in self.rows):
             raise ValueError("row width does not match labels")
@@ -115,8 +112,6 @@ def _rref(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[list[int
 def nullspace(system: LinearSystem) -> list[list[Fraction]]:
     """Basis of the solution space of the homogeneous system; every returned
     vector multiplies back to an exactly-zero residual."""
-    if any(system.rhs):
-        raise ValueError("nullspace is defined for a homogeneous system")
     ncols = len(system.labels)
     rref_rows, pivots = _rref(system.rows, ncols)
     pivot_set = set(pivots)
@@ -132,21 +127,6 @@ def nullspace(system: LinearSystem) -> list[list[Fraction]]:
                 vec[p] = Fraction(-row[free], row[p])
         basis.append(vec)
     return basis
-
-
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction],
-                 ncols: int) -> Optional[list[Fraction]]:
-    """One exact solution of rows * x = rhs (free variables set to 0),
-    or None when the system is inconsistent."""
-    augmented = [row + [b] for row, b in zip(rows, rhs)]
-    rref_rows, pivots = _rref(augmented, ncols + 1)
-    zero = Fraction(0)
-    solution = [zero] * ncols
-    for row, p in zip(rref_rows, pivots):
-        if p == ncols:  # pivot in the rhs column: the system is inconsistent
-            return None
-        solution[p] = Fraction(row[ncols], row[p])
-    return solution
 
 
 def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
@@ -208,7 +188,7 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
                     nonzero = True
             if nonzero:
                 rows.append(dense)
-    return LinearSystem(rows=rows, rhs=[0] * len(rows), labels=labels)
+    return LinearSystem(rows=rows, labels=labels)
 
 
 def _vector_to_entries(vec: Sequence[Fraction], deg_bound: int) -> list[dict[int, Fraction]]:

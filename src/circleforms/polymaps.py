@@ -72,11 +72,6 @@ class MultiPoly:
     def is_real(self) -> bool:
         return all(c.is_real for c in self._terms.values())
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(mono) for mono in self._terms)
-
     def bar(self) -> "MultiPoly":
         if self.is_real:
             return self

@@ -3,6 +3,8 @@
 The invariant ring of the weight (2, -2, n, -n) action on (a, b, x, y) is
 generated by T = ab, W = xy, U = a^n y^2, V = b^n x^2, subject to the single
 relation U*V - T^n*W^2 = 0; the categorical quotient is that hypersurface.
+The generators are monomials, so a polynomial lies in the invariant subring
+exactly when each of its monomials has weight 0.
 Circle forms descend to real forms of the quotient; this module materializes
 the generators, the relation, and the induced generator images, but does not
 attempt to classify the induced real forms.
@@ -11,9 +13,7 @@ attempt to classify the induced real forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .oracle import solve_linear
 from .polymaps import MultiPoly, RealStructureMap
 
 
@@ -49,58 +49,17 @@ def verify_relation(m: int) -> bool:
 
 
 def in_invariant_subring(poly: MultiPoly, m: int) -> bool:
-    """Exact linear-algebra test of membership in Q(i)[T, W, U, V].
+    """Membership in Q(i)[T, W, U, V]: every monomial has weighted degree 0.
 
-    Monomials in the generators are homogeneous in (a, b, x, y), so only
-    generator products whose total degree matches one of the input's
-    homogeneous degrees can contribute; products are enumerated up to twice
-    the input degree, which is already more than any contributing product.
+    The generators are monomials of weight 0, and they generate every
+    monomial of weight 0: for a^i b^j x^k y^l, weight 2(i-j) + n(k-l) = 0
+    with n odd forces k - l = 2s and j - i = n*s, and the monomial is
+    T^i W^l V^s when s >= 0 and T^j W^k U^(-s) when s < 0.
     """
-    if poly.is_zero:
-        return True
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     n = 2 * m + 1
-    gens = make_invariants(m).as_tuple()
-    bound = 2 * poly.total_degree()
-    gen_degree = (2, 2, n + 2, n + 2)
-    wanted_degrees = {sum(mono) for mono, _ in poly.items()}
-
-    products: list[MultiPoly] = []
-    max_exp = [bound // d for d in gen_degree]
-    for et in range(max_exp[0] + 1):
-        for ew in range(max_exp[1] + 1):
-            if 2 * et + 2 * ew > bound:
-                break
-            for eu in range(max_exp[2] + 1):
-                for ev in range(max_exp[3] + 1):
-                    degree = 2 * et + 2 * ew + (n + 2) * (eu + ev)
-                    if degree > bound:
-                        break
-                    if degree not in wanted_degrees:
-                        continue
-                    products.append(
-                        gens[0] ** et * gens[1] ** ew * gens[2] ** eu * gens[3] ** ev
-                    )
-
-    monomials = sorted({mono for p in products for mono, _ in p.items()}
-                       | {mono for mono, _ in poly.items()})
-    index = {mono: i for i, mono in enumerate(monomials)}
-    zero = Fraction(0)
-    rows = [[zero] * len(products) for _ in range(len(monomials))]
-    for col, p in enumerate(products):
-        for mono, c in p.items():
-            rows[index[mono]][col] = Fraction(c.re)  # generator products are real
-    rhs_re = [zero] * len(monomials)
-    rhs_im = [zero] * len(monomials)
-    for mono, c in poly.items():
-        rhs_re[index[mono]] = Fraction(c.re)
-        rhs_im[index[mono]] = Fraction(c.im)
-    # A Q(i)-combination of real products splits into independent real and
-    # imaginary solves against the same matrix.
-    if solve_linear(rows, rhs_re, len(products)) is None:
-        return False
-    if any(rhs_im) and solve_linear(rows, rhs_im, len(products)) is None:
-        return False
-    return True
+    return poly.weighted_degrees((2, -2, n, -n)) <= {0}
 
 
 @dataclass(frozen=True)

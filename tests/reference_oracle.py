@@ -1,6 +1,7 @@
 """Reference oracle: rational Gauss-Jordan elimination and the candidate scan
 on ``Fraction`` vectors, kept as the slow path that the integer routines in
-``circleforms.oracle`` are checked against.  Not used by the package."""
+``circleforms.oracle`` are checked against.  ``fraction_solve_linear`` runs the
+reference membership test in ``reference_paths``.  Not used by the package."""
 
 from fractions import Fraction
 from typing import Optional

@@ -5,7 +5,7 @@ import pytest
 
 from circleforms import cli
 from circleforms.cli import canonical_json, main, parse_poly, parse_r_grid
-from circleforms import LaurentPoly, StructuredMatrix
+from circleforms import InternalConsistencyError, LaurentPoly, StructuredMatrix
 
 
 def run(capsys, *argv):
@@ -77,6 +77,12 @@ class TestEquiv:
         assert code == 0
         assert "no rational witness" in out
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "equiv", "--m", "2", "--h", "1,1", "--hp", "2,8",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
     def test_json_output_is_canonical(self, capsys):
         code, out, _ = run(capsys, "equiv", "--m", "2", "--h", "1,1",
                            "--hp", "2,8", "--json")
@@ -112,6 +118,22 @@ class TestVerifyCertificate:
                            "--hp", "1", "--file", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [("r", "1/0"), ("r", "Infinity"), ("e", 3)])
+    def test_malformed_certificate_is_usage_error(self, capsys, tmp_path, field, value):
+        cert = tmp_path / "cert.json"
+        run(capsys, "equiv", "--m", "2", "--h", "1,1", "--hp", "2,8", "--out", str(cert))
+        doc = json.loads(cert.read_text())
+        if field == "r":
+            doc["r"] = value
+        else:
+            doc["N"]["e"] = value
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-certificate", "--m", "2", "--h", "1,1",
+                             "--hp", "2,8", "--file", str(cert))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestClassify:
     def test_ten_forms(self, capsys, tmp_path):
@@ -134,6 +156,31 @@ class TestClassify:
     def test_missing_file_flag(self, capsys):
         code, _, err = run(capsys, "classify", "--m", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"forms": [["1/0"]]}', '{"forms": [[Infinity]]}',
+                                      "[" * 100000 + "]" * 100000])
+    def test_malformed_forms_are_usage_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "forms.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", "--m", "2", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load forms")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [ValueError("kernel bug"), TypeError("kernel bug"),
+                                     InternalConsistencyError("kernel bug")])
+    def test_kernel_exception_exits_3_with_traceback(self, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "decide_equiv", broken)
+        code, out, err = run(capsys, "equiv", "--m", "2", "--h", "1", "--hp", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"internal error: {type(exc).__name__}: kernel bug")
+        assert "Traceback" in err
 
 
 class TestOracle:

@@ -19,7 +19,10 @@ from circleforms import (
     make_twist,
     verify_certificate,
 )
+from circleforms import equivalence
+from circleforms.equivalence import InternalConsistencyError, equivalence_key
 
+from reference_paths import pairwise_classify
 from strategies import nonzero_rationals, real_polys
 
 T = LaurentPoly.variable()
@@ -211,3 +214,89 @@ class TestClassify:
         base = poly(1, 2)
         forms = [base, base.apply_scaling(2), base.apply_scaling(Fraction(-1, 3))]
         assert classify(forms, 2) == [[0, 1, 2]]
+
+
+def _tail(m, junk):
+    return LaurentPoly.monomial(m) * junk
+
+
+@st.composite
+def scaling_orbits(draw):
+    """(forms, m): members r*h(r^2 T) + T^m*tail of a few base forms, each
+    with a fresh tail, in shuffled order."""
+    m = draw(st.integers(1, 3))
+    bases = draw(st.lists(real_polys, min_size=1, max_size=3))
+    forms = [base.apply_scaling(draw(nonzero_rationals)) + _tail(m, draw(real_polys))
+             for base in bases for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(forms)), m
+
+
+@st.composite
+def real_only_forms(draw):
+    """(forms, m): c*T^p and q*c*T^p with q not a rational (2p+1)-th power,
+    so the pair is equivalent over the reals only, plus tails."""
+    m = draw(st.integers(2, 3))
+    p = draw(st.integers(1, m - 1))
+    c = draw(nonzero_rationals)
+    q = draw(st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 5), Fraction(7, 4)]))
+    forms = [LaurentPoly.monomial(p, c) + _tail(m, draw(real_polys)),
+             LaurentPoly.monomial(p, q * c) + _tail(m, draw(real_polys)),
+             draw(real_polys)]
+    return draw(st.permutations(forms)), m
+
+
+@st.composite
+def zero_support_forms(draw):
+    """(forms, m): forms that vanish mod T^m, mixed with arbitrary ones."""
+    m = draw(st.integers(1, 3))
+    forms = [_tail(m, draw(real_polys)) for _ in range(draw(st.integers(1, 3)))]
+    forms += draw(st.lists(real_polys, max_size=3))
+    return draw(st.permutations(forms)), m
+
+
+arbitrary_forms = st.tuples(st.lists(real_polys, max_size=6), st.integers(1, 3))
+
+
+class TestClassifyAgainstPairwise:
+    """classify groups by equivalence_key; the pairwise union-find of
+    ``reference_paths`` is the reference."""
+
+    @pytest.mark.parametrize("strategy", [scaling_orbits(), real_only_forms(),
+                                          zero_support_forms(), arbitrary_forms],
+                             ids=["scaling-orbits", "real-only", "zero-support", "real-polys"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_same_partition(self, strategy, data):
+        forms, m = data.draw(strategy)
+        assert classify(forms, m) == pairwise_classify(forms, m)
+
+    @given(pair=st.one_of(st.tuples(real_polys, real_polys),
+                          st.tuples(real_polys, nonzero_rationals, real_polys).map(
+                              lambda t: (t[0], t[0].apply_scaling(t[1]) + _tail(3, t[2])))),
+           m=st.integers(1, 3))
+    @settings(max_examples=200)
+    def test_key_equality_is_the_verdict(self, pair, m):
+        h, h2 = pair
+        same_key = equivalence_key(h, m) == equivalence_key(h2, m)
+        assert same_key == decide_equiv(h, h2, m, with_certificate=False).equivalent
+
+    def test_real_only_pair_shares_a_key(self):
+        assert equivalence_key(poly(0, 1), 2) == equivalence_key(poly(0, 3), 2)
+
+    def test_key_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            equivalence_key(one, 0)
+        with pytest.raises(ValueError):
+            equivalence_key(LaurentPoly.constant(GaussianRational(0, 1)), 1)
+
+
+class TestClassifyGuard:
+    def test_key_that_merges_classes_is_caught(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "equivalence_key", lambda h, m: ())
+        with pytest.raises(InternalConsistencyError):
+            classify([zero, one], 1)
+
+    def test_key_that_splits_a_class_is_caught(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "equivalence_key", lambda h, m: id(h))
+        with pytest.raises(InternalConsistencyError):
+            classify([poly(1, 1), poly(2, 8)], 2)

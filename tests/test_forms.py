@@ -27,6 +27,8 @@ from circleforms import (
 )
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
+from reference_paths import base_rescale
+
 T = LaurentPoly.variable()
 one = LaurentPoly.one()
 zero = LaurentPoly.zero()
@@ -106,7 +108,7 @@ class TestTwistConstructor:
         for m, coeffs, r in [(1, [1], Fraction(2)), (2, [1, 2], Fraction(-1, 2)),
                              (1, [0, 3], Fraction(1, 3))]:
             h = LaurentPoly.from_coeffs(coeffs)
-            lhs = make_twist(FormSpec(m, h)).base_rescale(r)
+            lhs = base_rescale(make_twist(FormSpec(m, h)), r)
             rhs = make_twist(FormSpec(m, h.apply_scaling(r)))
             assert lhs == rhs
 

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleforms import (
     FormSpec,
@@ -14,6 +18,9 @@ from circleforms import (
     verify_relation,
 )
 from circleforms.quotient import in_invariant_subring
+
+from reference_paths import solve_in_invariant_subring
+from strategies import gaussians
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
 
@@ -77,6 +84,52 @@ class TestSubringMembership:
         gens = make_invariants(1)
         mixed = gens.t * GaussianRational(1, 2) + gens.w * GaussianRational(0, -1)
         assert in_invariant_subring(mixed, 1)
+
+
+@st.composite
+def generator_sums(draw):
+    """(poly, m, perturbed): a Q(i)-combination of up to three products
+    T^i W^j U^k V^l, optionally plus one monomial of nonzero weight."""
+    m = draw(st.integers(1, 3))
+    gens = make_invariants(m).as_tuple()
+    poly = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = draw(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 1), st.integers(0, 1)))
+        product = MultiPoly.constant(draw(gaussians))
+        for gen, e in zip(gens, exps):
+            product = product * gen ** e
+        poly = poly + product
+    n = 2 * m + 1
+    perturbed = draw(st.booleans())
+    if perturbed:
+        mono = draw(st.tuples(*[st.integers(0, n + 1)] * 4).filter(
+            lambda e: 2 * (e[0] - e[1]) + n * (e[2] - e[3]) != 0))
+        poly = poly + MultiPoly.monomial(mono, draw(gaussians.filter(bool)))
+    return poly, m, perturbed
+
+
+class TestMembershipAgainstSolve:
+    """The weight-zero criterion against the linear solve of
+    ``reference_paths``."""
+
+    @given(case=generator_sums())
+    @settings(max_examples=150)
+    def test_agrees_with_linear_solve(self, case):
+        poly, m, perturbed = case
+        assert in_invariant_subring(poly, m) == solve_in_invariant_subring(poly, m)
+        assert in_invariant_subring(poly, m) is not perturbed
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_weight_zero_monomials_factor(self, m):
+        # every weight-zero monomial of small degree is inside, the rest outside
+        n = 2 * m + 1
+        for i, j, k, l in itertools.product(range(n + 2), range(n + 2), range(4), range(4)):
+            mono = MultiPoly.monomial((i, j, k, l))
+            inside = 2 * (i - j) + n * (k - l) == 0
+            assert in_invariant_subring(mono, m) is inside
+            if i + j + k + l <= n + 2:
+                assert solve_in_invariant_subring(mono, m) is inside
 
 
 class TestInducedImages:
