@@ -49,7 +49,6 @@ from .oracle import (
     LinearSystem,
     conjugators_between,
     nullspace,
-    proof_conditions,
     search_conjugator,
     verify_conjugation,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "nullspace",
     "o2_relation_check",
     "parse_rational",
-    "proof_conditions",
     "rational_odd_root",
     "search_conjugator",
     "verify_case12_bundle",

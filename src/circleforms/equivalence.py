@@ -159,6 +159,8 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     h_target = h2.apply_scaling(r)
     src = make_twist(FormSpec(m, h))
     dst = make_twist(FormSpec(m, h_target))
+    if conjugator.e != src.e:
+        return False
     try:
         galois_inverse = conjugator.galois().inverse()
     except ValueError:

@@ -1,9 +1,12 @@
-"""Sparse Laurent polynomials in one variable T over Q(i).
+"""Sparse polynomials over Q(i): the shared kernel ``SparsePoly`` and the
+Laurent polynomials in one variable T built on it.
 
-Terms live in a dict {exponent: coefficient}; exponents may be negative,
-stored coefficients are never zero, and the zero polynomial is the empty
-dict.  The zero polynomial has no valuation or degree: callers branch on
-``is_zero`` first rather than relying on a sentinel.
+Terms live in a dict {monomial key: coefficient}; stored coefficients are
+never zero, and the zero polynomial is the empty dict.  ``LaurentPoly`` keys
+are exponents of T, which may be negative; the four-variable ``MultiPoly``
+of ``polymaps`` keys by exponent quadruples.  The zero polynomial has no
+valuation or degree: callers branch on ``is_zero`` first rather than relying
+on a sentinel.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Iterable, Optional, Union
 from .gaussian import GaussianRational, RationalLike
 
 CoeffLike = Union[int, Fraction, GaussianRational]
+SCALARS = (int, Fraction, GaussianRational)
 
 
 def _coeff(value: CoeffLike) -> GaussianRational:
@@ -22,51 +26,50 @@ def _coeff(value: CoeffLike) -> GaussianRational:
     return GaussianRational(value)
 
 
-class LaurentPoly:
-    """Element of Q(i)[T, T^-1], held sparse and canonical."""
+class SparsePoly:
+    """Sparse polynomial over Q(i): a dict {monomial key: coefficient} in
+    which no stored coefficient is zero, so the zero polynomial is the empty
+    dict.
+
+    A subclass fixes its monomials: ``_key`` canonicalises one key, ``_ONE``
+    is the key of the constant monomial, and ``__mul__`` adds keys.  Every
+    other ring operation lives here.  Operands must be of the caller's own
+    class or scalars, so polynomials of two subclasses never mix.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict] = None):
         canon = {}
         if terms:
-            for exp, c in terms.items():
+            key = self._key
+            for k, c in terms.items():
                 c = _coeff(c)
                 if not c.is_zero:
-                    canon[int(exp)] = c
+                    canon[key(k)] = c
         self._terms = canon
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def _wrap(cls, terms: dict):
+        """An instance holding `terms`, which must already be canonical."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def constant(cls, c: CoeffLike):
+        return cls({cls._ONE: c})
 
     @classmethod
-    def variable(cls) -> "LaurentPoly":
-        """The generator T."""
-        return cls({1: 1})
-
-    @classmethod
-    def constant(cls, c: CoeffLike) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, exp: int, c: CoeffLike = 1) -> "LaurentPoly":
-        return cls({exp: c})
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[CoeffLike], valuation: int = 0) -> "LaurentPoly":
-        """Build from an ascending coefficient list starting at `valuation`."""
-        return cls({valuation + j: c for j, c in enumerate(coeffs)})
+    def monomial(cls, key, c: CoeffLike = 1):
+        return cls({key: c})
 
     def items(self):
         return self._terms.items()
-
-    def sorted_items(self):
-        return sorted(self._terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -76,92 +79,31 @@ class LaurentPoly:
     def is_real(self) -> bool:
         return all(c.is_real for c in self._terms.values())
 
-    @property
-    def is_polynomial(self) -> bool:
-        """True when no negative exponent occurs (the zero polynomial counts)."""
-        return all(e >= 0 for e in self._terms)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {0}
-
-    def coeff(self, exp: int) -> GaussianRational:
-        """Coefficient at T^exp; zero for absent exponents."""
-        c = self._terms.get(exp)
-        return c if c is not None else GaussianRational(0)
-
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeff(0)
-
-    def valuation(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no valuation")
-        return min(self._terms)
-
-    def degree(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(self._terms)
-
-    def monomial_parts(self) -> Optional[tuple[GaussianRational, int]]:
-        """(c, k) when the value is a single term c*T^k, else None."""
-        if len(self._terms) != 1:
-            return None
-        ((exp, c),) = self._terms.items()
-        return c, exp
-
-    def bar(self) -> "LaurentPoly":
-        """Coefficientwise complex conjugation; T itself is fixed."""
+    def bar(self):
+        """Coefficientwise complex conjugation; the variables are fixed."""
         if self.is_real:
             return self
-        out = LaurentPoly()
-        out._terms = {e: c.conjugate() for e, c in self._terms.items()}
-        return out
+        return self._wrap({k: c.conjugate() for k, c in self._terms.items()})
 
-    def truncate_mod(self, m: int) -> "LaurentPoly":
-        """Reduce a polynomial mod T^m: drop every term of exponent >= m."""
-        if m < 1:
-            raise ValueError("modulus exponent must be positive")
-        if not self.is_polynomial:
-            raise ValueError("truncate_mod needs a polynomial, not a Laurent value")
-        return LaurentPoly({e: c for e, c in self._terms.items() if e < m})
-
-    def apply_scaling(self, r: RationalLike) -> "LaurentPoly":
-        """r * p(r^2 T), computed coefficientwise: c_j -> r^(2j+1) * c_j.
-
-        Defined termwise rather than by substitution so it stays exact and
-        total on truncated inputs; the two definitions agree on polynomials.
-        """
-        r = Fraction(r)
-        if not r:
-            raise ValueError("scaling factor must be nonzero")
-        if not self.is_real:
-            raise ValueError("apply_scaling is defined for real inputs")
-        return LaurentPoly({e: c * r ** (2 * e + 1) for e, c in self._terms.items()})
-
-    def _binary(self, other, sign: int) -> "LaurentPoly":
+    def _binary(self, other, sign: int):
         acc = dict(self._terms)
-        for e, c in other._terms.items():
-            cur = acc.get(e)
+        for k, c in other._terms.items():
+            cur = acc.get(k)
             new = c if sign > 0 else -c
             if cur is not None:
                 new = cur + new
             if new.is_zero:
-                acc.pop(e, None)
+                acc.pop(k, None)
             else:
-                acc[e] = new
-        out = LaurentPoly()
-        out._terms = acc
-        return out
+                acc[k] = new
+        return self._wrap(acc)
 
-    @staticmethod
-    def _coerce(value) -> Optional["LaurentPoly"]:
-        if isinstance(value, LaurentPoly):
+    @classmethod
+    def _coerce(cls, value):
+        if isinstance(value, cls):
             return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return LaurentPoly.constant(value)
+        if isinstance(value, SCALARS):
+            return cls.constant(value)
         return None
 
     def __add__(self, other):
@@ -185,43 +127,23 @@ class LaurentPoly:
         return other - self
 
     def __neg__(self):
-        out = LaurentPoly()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scalar_mul(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        acc: dict[int, GaussianRational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                cur = acc.get(e)
-                acc[e] = p if cur is None else cur + p
-        out = LaurentPoly()
-        out._terms = {e: c for e, c in acc.items() if not c.is_zero}
-        return out
+        return self._wrap({k: -c for k, c in self._terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             return self.scalar_mul(other)
         return NotImplemented
 
-    def scalar_mul(self, c: CoeffLike) -> "LaurentPoly":
+    def scalar_mul(self, c: CoeffLike):
         c = _coeff(c)
         if c.is_zero:
-            return LaurentPoly()
-        out = LaurentPoly()
-        out._terms = {e: c * v for e, v in self._terms.items()}
-        return out
+            return self.zero()
+        return self._wrap({k: c * v for k, v in self._terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one()
+        result = self.constant(1)
         base = self
         while n:
             if n & 1:
@@ -241,7 +163,102 @@ class LaurentPoly:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
-        return f"LaurentPoly({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(SparsePoly):
+    """Element of Q(i)[T, T^-1], held sparse and canonical; keys are the
+    exponents of T."""
+
+    __slots__ = ()
+
+    _key = int
+    _ONE = 0
+
+    @classmethod
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def variable(cls) -> "LaurentPoly":
+        """The generator T."""
+        return cls({1: 1})
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Iterable[CoeffLike], valuation: int = 0) -> "LaurentPoly":
+        """Build from an ascending coefficient list starting at `valuation`."""
+        return cls({valuation + j: c for j, c in enumerate(coeffs)})
+
+    def sorted_items(self):
+        return sorted(self._terms.items())
+
+    @property
+    def is_polynomial(self) -> bool:
+        """True when no negative exponent occurs (the zero polynomial counts)."""
+        return all(e >= 0 for e in self._terms)
+
+    @property
+    def is_constant(self) -> bool:
+        return not self._terms or set(self._terms) == {0}
+
+    def coeff(self, exp: int) -> GaussianRational:
+        """Coefficient at T^exp; zero for absent exponents."""
+        c = self._terms.get(exp)
+        return c if c is not None else GaussianRational(0)
+
+    def valuation(self) -> int:
+        if not self._terms:
+            raise ValueError("the zero polynomial has no valuation")
+        return min(self._terms)
+
+    def degree(self) -> int:
+        if not self._terms:
+            raise ValueError("the zero polynomial has no degree")
+        return max(self._terms)
+
+    def monomial_parts(self) -> Optional[tuple[GaussianRational, int]]:
+        """(c, k) when the value is a single term c*T^k, else None."""
+        if len(self._terms) != 1:
+            return None
+        ((exp, c),) = self._terms.items()
+        return c, exp
+
+    def truncate_mod(self, m: int) -> "LaurentPoly":
+        """Reduce a polynomial mod T^m: drop every term of exponent >= m."""
+        if m < 1:
+            raise ValueError("modulus exponent must be positive")
+        if not self.is_polynomial:
+            raise ValueError("truncate_mod needs a polynomial, not a Laurent value")
+        return LaurentPoly({e: c for e, c in self._terms.items() if e < m})
+
+    def apply_scaling(self, r: RationalLike) -> "LaurentPoly":
+        """r * p(r^2 T), computed coefficientwise: c_j -> r^(2j+1) * c_j.
+
+        Defined termwise rather than by substitution so it stays exact and
+        total on truncated inputs; the two definitions agree on polynomials.
+        """
+        r = Fraction(r)
+        if not r:
+            raise ValueError("scaling factor must be nonzero")
+        if not self.is_real:
+            raise ValueError("apply_scaling is defined for real inputs")
+        return LaurentPoly({e: c * r ** (2 * e + 1) for e, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return self.scalar_mul(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc: dict[int, GaussianRational] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                p = c1 * c2
+                cur = acc.get(e)
+                acc[e] = p if cur is None else cur + p
+        out = LaurentPoly()
+        out._terms = {e: c for e, c in acc.items() if not c.is_zero}
+        return out
 
     def __str__(self):
         if not self._terms:

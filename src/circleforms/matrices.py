@@ -18,7 +18,6 @@ the holomorphic bundle twist does the same swap without conjugation.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly
@@ -103,17 +102,6 @@ class StructuredMatrix:
         if det.monomial_parts() is not None:
             return Membership.LAMBDA_PRIME
         return Membership.NEITHER
-
-    def fixed_point_shape(self) -> Optional[GaussianRational]:
-        """alpha when the matrix is diag(alpha, conj(alpha)) with alpha != 0."""
-        if not self.Q.is_zero or not self.S.is_zero:
-            return None
-        if not self.P.is_constant or not self.R.is_constant:
-            return None
-        alpha = self.P.constant_value()
-        if alpha.is_zero or self.R.constant_value() != alpha.conjugate():
-            return None
-        return alpha
 
     def __eq__(self, other):
         if not isinstance(other, StructuredMatrix):

@@ -21,19 +21,19 @@ basis vectors and +-1 combinations of up to two of them.  Each candidate's
 determinant is tested with integer polynomial products first; only those
 with a nonzero constant determinant are built as matrices.  That scan is a
 heuristic, but every candidate that survives it is verified exactly before
-being returned, so false positives are impossible.
+being returned, so false positives are impossible.  The rescaling grid is
+searched in one process, one r after another, so findings come out in grid
+order.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .forms import FormSpec, make_twist, splitting_entries
+from .forms import FormSpec, make_twist
 from .gaussian import GaussianRational, Rational
 from .laurent import LaurentPoly
 from .matrices import Membership, StructuredMatrix
@@ -341,36 +341,6 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     return found
 
 
-def worker_count() -> int:
-    """Parallelism cap from the REALFORMS_THREADS environment variable;
-    a value that is not a positive integer is reported on stderr and
-    counts as 1."""
-    raw = os.environ.get("REALFORMS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        print(f"warning: REALFORMS_THREADS={raw!r} is not a positive integer; using 1",
-              file=sys.stderr)
-        return 1
-    return value
-
-
-def pool_size(requested: int, jobs: int, cpus: Optional[int]) -> int:
-    """Worker processes for a search: never more than requested, than jobs
-    to run, or than CPUs (``os.cpu_count()``, which may be None)."""
-    return min(requested, jobs, cpus or 1)
-
-
-def _search_one(args):
-    h, h2, m, deg_bound, r = args
-    h_target = h2.apply_scaling(r)
-    m_src = make_twist(FormSpec(m, h))
-    m_dst = make_twist(FormSpec(m, h_target))
-    return [(r, matrix) for matrix in conjugators_between(m_src, m_dst, deg_bound)]
-
-
 def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
                       r_grid: Sequence[Rational]) -> list[tuple[Rational, StructuredMatrix]]:
     """For each r in the grid, search for N with N*M_h = M_h''*gamma(N) where
@@ -382,38 +352,9 @@ def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
     grid = [Fraction(r) for r in r_grid]
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
-    jobs = [(h, h2, m, deg_bound, r) for r in grid]
-    workers = pool_size(worker_count(), len(jobs), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_r = list(pool.map(_search_one, jobs))
-    else:
-        per_r = [_search_one(job) for job in jobs]
     results = []
-    for chunk in per_r:
-        results.extend(chunk)
+    for r in grid:
+        m_src = make_twist(FormSpec(m, h))
+        m_dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
+        results.extend((r, matrix) for matrix in conjugators_between(m_src, m_dst, deg_bound))
     return results
-
-
-def proof_conditions(h: LaurentPoly, h_target: LaurentPoly, m: int,
-                     alpha: GaussianRational) -> bool:
-    """The two polynomiality conditions that characterize when a bounded
-    diagonal gauge alpha produces a polynomial conjugator between the twists
-    of h and h_target (h_target already includes any base rescaling):
-
-        alpha * q_{h''} - conj(alpha) * q_h       is a polynomial, and
-        alpha * s_h * r_{h''} - conj(alpha) * r_h * s_{h''}  is a polynomial.
-
-    A third, independent route to the equivalence verdict, scanned over a
-    grid of alpha by the tests.
-    """
-    if alpha.is_zero:
-        raise ValueError("alpha must be nonzero")
-    q_h, s_h, r_h = splitting_entries(FormSpec(m, h))
-    q_t, s_t, r_t = splitting_entries(FormSpec(m, h_target))
-    bar_alpha = alpha.conjugate()
-    cond_q = q_t * alpha - q_h * bar_alpha
-    cond_s = (s_h * r_t) * alpha - (r_h * s_t) * bar_alpha
-    return cond_q.is_polynomial and cond_s.is_polynomial

@@ -4,15 +4,16 @@ Polynomial self-maps of C^4 in the coordinates (a, b, x, y), optionally
 pre-composed with coefficientwise conjugation, are the ground truth that the
 structured-matrix shortcuts get validated against.  Everything here is exact
 and pure; the expanded view is a verification layer, not the production path.
+``MultiPoly`` takes every ring operation except multiplication from the
+sparse kernel ``laurent.SparsePoly`` that ``LaurentPoly`` also builds on.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .gaussian import GaussianRational
-from .laurent import LaurentPoly
+from .laurent import SCALARS, LaurentPoly, SparsePoly
 from .matrices import StructuredMatrix
 
 Monomial = tuple[int, int, int, int]
@@ -20,36 +21,19 @@ Monomial = tuple[int, int, int, int]
 VAR_NAMES = ("a", "b", "x", "y")
 
 
-def _coeff(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
-class MultiPoly:
+class MultiPoly(SparsePoly):
     """Polynomial in a, b, x, y over Q(i); sparse map from exponent quadruples."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[dict] = None):
-        canon = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coeff(c)
-                if not c.is_zero:
-                    mono = tuple(int(e) for e in mono)
-                    if len(mono) != 4 or any(e < 0 for e in mono):
-                        raise ValueError(f"bad exponent quadruple: {mono}")
-                    canon[mono] = c
-        self._terms = canon
+    _ONE = (0, 0, 0, 0)
 
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "MultiPoly":
-        return cls({(0, 0, 0, 0): c})
+    @staticmethod
+    def _key(mono) -> Monomial:
+        mono = tuple(int(e) for e in mono)
+        if len(mono) != 4 or any(e < 0 for e in mono):
+            raise ValueError(f"bad exponent quadruple: {mono}")
+        return mono
 
     @classmethod
     def variable(cls, index: int) -> "MultiPoly":
@@ -57,78 +41,8 @@ class MultiPoly:
         mono[index] = 1
         return cls({tuple(mono): 1})
 
-    @classmethod
-    def monomial(cls, mono: Monomial, c=1) -> "MultiPoly":
-        return cls({mono: c})
-
-    def items(self):
-        return self._terms.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self._terms.values())
-
-    def bar(self) -> "MultiPoly":
-        if self.is_real:
-            return self
-        out = MultiPoly()
-        out._terms = {m: c.conjugate() for m, c in self._terms.items()}
-        return out
-
-    def _binary(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            cur = acc.get(m)
-            new = c if sign > 0 else -c
-            if cur is not None:
-                new = cur + new
-            if new.is_zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = new
-        out = MultiPoly()
-        out._terms = acc
-        return out
-
-    @staticmethod
-    def _coerce(value) -> Optional["MultiPoly"]:
-        if isinstance(value, MultiPoly):
-            return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return MultiPoly.constant(value)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._binary(other, +1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._binary(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        out = MultiPoly()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, SCALARS):
             return self.scalar_mul(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -143,32 +57,6 @@ class MultiPoly:
         out = MultiPoly()
         out._terms = {m: c for m, c in acc.items() if not c.is_zero}
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scalar_mul(other)
-        return NotImplemented
-
-    def scalar_mul(self, c) -> "MultiPoly":
-        c = _coeff(c)
-        if c.is_zero:
-            return MultiPoly()
-        out = MultiPoly()
-        out._terms = {m: c * v for m, v in self._terms.items()}
-        return out
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Evaluate at images = (image of a, of b, of x, of y)."""
@@ -200,18 +88,6 @@ class MultiPoly:
         return {
             sum(e * w for e, w in zip(mono, weights)) for mono in self._terms
         }
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        return f"MultiPoly({self})"
 
     def __str__(self):
         if not self._terms:
@@ -344,15 +220,13 @@ def o2_relation_check(tau: PolyMap, weights: Sequence[int]) -> bool:
     return weight_check(tau, weights, sign=-1) and tau.compose(tau).is_identity()
 
 
-def expand(matrix: StructuredMatrix, weights: Sequence[int] | None = None) -> PolyMap:
+def expand(matrix: StructuredMatrix) -> PolyMap:
     """The four-variable map fixing (a, b) and acting on (x, y) by the matrix,
     with the a^e, b^e factors written out.  Requires polynomial entries."""
     e = matrix.e
     for entry in matrix.entries():
         if not entry.is_polynomial:
             raise ValueError("cannot expand a matrix with Laurent entries")
-    if weights is not None:
-        _check_weights(weights)
 
     def tpow(p: LaurentPoly, extra_a: int, var: int) -> MultiPoly:
         # c*T^j -> c * a^(j+extra_a on a side) ... T = ab, plus a^e or b^e factor.
@@ -373,27 +247,3 @@ def expand(matrix: StructuredMatrix, weights: Sequence[int] | None = None) -> Po
     y_img = tpow(matrix.S, e, 1) * x_var + tpow(matrix.R, 0, 0) * y_var
     return PolyMap((a_img, b_img, x_img, y_img))
 
-
-def scaling_map(omega: GaussianRational, weights: Sequence[int]) -> PolyMap:
-    """The linear action of a unit-circle point: v_i -> omega^(w_i) * v_i.
-
-    Restricted to exact circle points (norm_sq = 1, e.g. Pythagorean-triple
-    points like (3+4i)/5) so that omega^(-w) = conj(omega)^w stays in Q(i).
-    """
-    weights = _check_weights(weights)
-    if omega.norm_sq() != 1:
-        raise ValueError("omega must lie on the unit circle (norm_sq == 1)")
-    images = []
-    for i, w in enumerate(weights):
-        factor = omega ** w if w >= 0 else omega.conjugate() ** (-w)
-        images.append(MultiPoly.variable(i) * factor)
-    return PolyMap(tuple(images))
-
-
-def base_scaling_map(r) -> PolyMap:
-    """(a, b, x, y) -> (ra, rb, x, y) for a nonzero rational r."""
-    r = Fraction(r)
-    if not r:
-        raise ValueError("base scaling factor must be nonzero")
-    v = [MultiPoly.variable(i) for i in range(4)]
-    return PolyMap((v[0] * r, v[1] * r, v[2], v[3]))

@@ -9,12 +9,31 @@ by the package.
 * ``substitute_power`` and ``base_rescale``: the substitutions T -> s*T and
   (a, b) -> (ra, rb), against which the coefficientwise scaling rule
   ``LaurentPoly.apply_scaling`` is cross-checked.
+
+Helpers that only the tests need:
+
+* ``scaling_map`` and ``base_scaling_map``: the circle point and the base
+  rescaling as four-variable maps.
+* ``fixed_point_shape`` (with ``constant_value``): alpha for a matrix
+  diag(alpha, conj(alpha)), the shape of every twist-fixed unit.
+* ``proof_conditions``: the two polynomiality conditions a diagonal gauge
+  must meet, a third route to the equivalence verdict.
 """
 
 from fractions import Fraction
 
-from circleforms import LaurentPoly, StructuredMatrix, decide_equiv, make_invariants
+from circleforms import (
+    FormSpec,
+    LaurentPoly,
+    MultiPoly,
+    PolyMap,
+    StructuredMatrix,
+    decide_equiv,
+    make_invariants,
+)
 from circleforms.equivalence import InternalConsistencyError
+from circleforms.forms import splitting_entries
+from circleforms.polymaps import _check_weights
 
 from reference_oracle import fraction_solve_linear
 
@@ -130,3 +149,66 @@ def base_rescale(matrix, r):
         substitute_power(matrix.S, r2) * re,
         substitute_power(matrix.R, r2),
     )
+
+
+def scaling_map(omega, weights):
+    """The linear action of a unit-circle point: v_i -> omega^(w_i) * v_i.
+
+    Restricted to exact circle points (norm_sq = 1, e.g. Pythagorean-triple
+    points like (3+4i)/5) so that omega^(-w) = conj(omega)^w stays in Q(i).
+    """
+    weights = _check_weights(weights)
+    if omega.norm_sq() != 1:
+        raise ValueError("omega must lie on the unit circle (norm_sq == 1)")
+    images = []
+    for i, w in enumerate(weights):
+        factor = omega ** w if w >= 0 else omega.conjugate() ** (-w)
+        images.append(MultiPoly.variable(i) * factor)
+    return PolyMap(tuple(images))
+
+
+def base_scaling_map(r):
+    """(a, b, x, y) -> (ra, rb, x, y) for a nonzero rational r."""
+    r = Fraction(r)
+    if not r:
+        raise ValueError("base scaling factor must be nonzero")
+    v = [MultiPoly.variable(i) for i in range(4)]
+    return PolyMap((v[0] * r, v[1] * r, v[2], v[3]))
+
+
+def constant_value(p):
+    """The value of a constant Laurent polynomial."""
+    if not p.is_constant:
+        raise ValueError(f"not a constant: {p}")
+    return p.coeff(0)
+
+
+def fixed_point_shape(matrix):
+    """alpha when the matrix is diag(alpha, conj(alpha)) with alpha != 0,
+    else None."""
+    if not matrix.Q.is_zero or not matrix.S.is_zero:
+        return None
+    if not matrix.P.is_constant or not matrix.R.is_constant:
+        return None
+    alpha = constant_value(matrix.P)
+    if alpha.is_zero or constant_value(matrix.R) != alpha.conjugate():
+        return None
+    return alpha
+
+
+def proof_conditions(h, h_target, m, alpha):
+    """The two polynomiality conditions that characterize when a bounded
+    diagonal gauge alpha produces a polynomial conjugator between the twists
+    of h and h_target (h_target already includes any base rescaling):
+
+        alpha * q_{h''} - conj(alpha) * q_h       is a polynomial, and
+        alpha * s_h * r_{h''} - conj(alpha) * r_h * s_{h''}  is a polynomial.
+    """
+    if alpha.is_zero:
+        raise ValueError("alpha must be nonzero")
+    q_h, s_h, r_h = splitting_entries(FormSpec(m, h))
+    q_t, s_t, r_t = splitting_entries(FormSpec(m, h_target))
+    bar_alpha = alpha.conjugate()
+    cond_q = q_t * alpha - q_h * bar_alpha
+    cond_s = (s_h * r_t) * alpha - (r_h * s_t) * bar_alpha
+    return cond_q.is_polynomial and cond_s.is_polynomial

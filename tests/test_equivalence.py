@@ -175,6 +175,8 @@ class TestCertificates:
         r, conj = build_certificate(h, h2, 2, Fraction(1, 2))
         tampered = StructuredMatrix(conj.e, conj.P + T, conj.Q, conj.S, conj.R)
         assert not verify_certificate(h, h2, 2, r, tampered)
+        # a unit of the wrong cross exponent (e = 3, while m = 2 needs 5)
+        assert not verify_certificate(h, h2, 2, r, StructuredMatrix.identity(3))
 
     def test_verify_rejects_wrong_r(self):
         h, h2 = poly(1, 1), poly(2, 8)

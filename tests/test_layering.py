@@ -1,6 +1,7 @@
 """Import layering of the package, read from the source with ``ast``: the
-quotient needs no linear algebra, and the oracle stays independent of the
-decision procedure it cross-checks."""
+quotient needs no linear algebra, the oracle stays independent of the
+decision procedure it cross-checks, and no module reads the environment or
+starts worker processes."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,41 @@ def test_module_does_not_import(module, forbidden):
 def test_reader_sees_imports():
     assert {"forms", "matrices"} <= imported_modules("oracle")
     assert "polymaps" in imported_modules("quotient")
+
+
+PROCESS_MODULES = ("concurrent", "multiprocessing")
+ENV_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_and_process_uses(path):
+    """Reads of the environment and imports of process-pool modules in one
+    source file, as readable strings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            if node.module.split(".")[0] in PROCESS_MODULES:
+                found.append(node.module)
+            elif node.module == "os":
+                found += [f"os.{alias.name}" for alias in node.names
+                          if alias.name in ENV_READERS]
+        elif isinstance(node, ast.Attribute) and node.attr in ENV_READERS:
+            found.append(node.attr)
+    return found
+
+
+def test_no_environment_reads_or_process_pools():
+    uses = {path.name: environment_and_process_uses(path) for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_reader_sees_environment_and_process_uses(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import os\nimport multiprocessing.pool\n"
+                      "from concurrent.futures import ProcessPoolExecutor\n"
+                      "from os import getenv\nx = os.environ.get('K')\n", encoding="utf-8")
+    assert environment_and_process_uses(source) == [
+        "multiprocessing.pool", "concurrent.futures", "os.getenv", "environ"]

@@ -1,6 +1,4 @@
-import concurrent.futures
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -20,18 +18,13 @@ from circleforms import (
     decide_equiv,
     make_twist,
     nullspace,
-    proof_conditions,
     search_conjugator,
     verify_conjugation,
 )
-from circleforms.oracle import (
-    MAX_DEG_BOUND,
-    _conjugation_block,
-    pool_size,
-    worker_count,
-)
+from circleforms.oracle import MAX_DEG_BOUND, _conjugation_block
 
 from reference_oracle import fraction_solve_linear
+from reference_paths import proof_conditions
 from strategies import real_polys
 
 T = LaurentPoly.variable()
@@ -200,69 +193,6 @@ class TestSearch:
             search_conjugator(one, one, 1, 3, [F(0)])
         with pytest.raises(ValueError):
             search_conjugator(one, one, 1, -1, [F(1)])
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        h, h2 = poly(1, 1), poly(2, 8)
-        serial = search_conjugator(h, h2, 2, 4, [F(1), F(1, 2)])
-        monkeypatch.setenv("REALFORMS_THREADS", "2")
-        assert worker_count() == 2
-        parallel = search_conjugator(h, h2, 2, 4, [F(1), F(1, 2)])
-        assert parallel == serial
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("REALFORMS_THREADS", "not-a-number")
-        assert worker_count() == 1
-        monkeypatch.setenv("REALFORMS_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.delenv("REALFORMS_THREADS")
-        assert worker_count() == 1
-
-    @pytest.mark.parametrize("value", ["not-a-number", "0", "-3", ""])
-    def test_invalid_thread_count_warns_once(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("REALFORMS_THREADS", value)
-        assert search_conjugator(one, one, 1, 1, [F(1), F(-1)])
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "REALFORMS_THREADS" in err
-
-    def test_valid_thread_count_is_silent(self, monkeypatch, capsys):
-        monkeypatch.setenv("REALFORMS_THREADS", "3")
-        assert worker_count() == 3
-        assert capsys.readouterr().err == ""
-
-    def test_pool_size_clamp(self):
-        assert pool_size(1, 6, 2) == 1
-        assert pool_size(4, 6, 2) == 2
-        assert pool_size(4, 3, 8) == 3
-        assert pool_size(2, 1, 8) == 1
-        assert pool_size(4, 6, None) == 1
-
-    def test_search_clamps_the_pool(self, monkeypatch):
-        # a stand-in pool records its size and maps in this process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("REALFORMS_THREADS", "8")
-        pooled = search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1), F(1, 2), F(2)])
-        assert sizes == [2]
-        search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1, 2)])
-        assert sizes == [2]  # one job: no pool
-        monkeypatch.setenv("REALFORMS_THREADS", "1")
-        assert search_conjugator(poly(1, 1), poly(2, 8), 2, 4, [F(1), F(1, 2), F(2)]) == pooled
-        assert sizes == [2]
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):

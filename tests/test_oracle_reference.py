@@ -177,7 +177,6 @@ class TestScanAgainstReference:
         ["--m", "1", "--h", "0", "--hp", "1", "--deg", "3", "--r-grid=1,-1,2"],
     ])
     def test_oracle_json_bytes_match_reference(self, argv, capsys, monkeypatch):
-        monkeypatch.delenv("REALFORMS_THREADS", raising=False)
         argv = ["oracle", *argv, "--json"]
         assert main(argv) == 0
         fast = capsys.readouterr().out

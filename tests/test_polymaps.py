@@ -22,8 +22,8 @@ from circleforms import (
     weight_check,
 )
 from circleforms.forms import tau0_map, twist_automorphism
-from circleforms.polymaps import base_scaling_map, scaling_map
 
+from reference_paths import base_scaling_map, scaling_map
 from strategies import gaussians, nonzero_rationals, structured
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
