@@ -22,11 +22,11 @@ from .forms import (
     case12_involution,
     linear_circle_form,
     make_circle_form,
-    make_splitting,
     make_twist,
     twist_automorphism,
     verify_case12_bundle,
     verify_case12_linearization,
+    verify_splitting,
 )
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly
@@ -75,16 +75,12 @@ def twist_family_suite() -> tuple[bool, str]:
 
 
 def splitting_suite() -> tuple[bool, str]:
-    """det(K_h) = 1 and K_h * (gamma K_h)^-1 = M_h over the same grid."""
+    """verify_splitting (det(K_h) = 1 and K_h = M_h * gamma(K_h)) over the
+    same grid."""
     cases = 0
-    one = LaurentPoly.one()
     for m, h in _family_grid():
-        spec = FormSpec(m, h)
-        split = make_splitting(spec)
-        if split.det() != one:
-            return False, f"det(K) != 1 at m={m}, h={h}"
-        if split * split.galois().inverse() != make_twist(spec):
-            return False, f"splitting identity fails at m={m}, h={h}"
+        if not verify_splitting(FormSpec(m, h)):
+            return False, f"splitting fails at m={m}, h={h}"
         cases += 1
     return True, f"{cases} (m, h) cases exact"
 

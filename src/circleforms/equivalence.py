@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import FormSpec, make_splitting, make_twist
+from .forms import FormSpec, _require_real_poly, make_splitting, make_twist
 from .gaussian import Rational, format_rational, rational_odd_root
 from .laurent import LaurentPoly
 from .matrices import Membership, StructuredMatrix
@@ -68,15 +68,6 @@ class DecisionResult:
             "rational_witness": witness,
             "certificate": cert,
         }
-
-
-def _require_real_poly(p: LaurentPoly, name: str) -> None:
-    if not isinstance(p, LaurentPoly):
-        raise TypeError(f"{name} must be a LaurentPoly")
-    if not p.is_polynomial:
-        raise ValueError(f"{name} must be a polynomial in T")
-    if not p.is_real:
-        raise ValueError(f"{name} must have real coefficients")
 
 
 def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
@@ -115,7 +106,7 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
 
 def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
                       r: Rational) -> tuple[Rational, StructuredMatrix]:
-    """Produce (r, N) with N * M_h * (gamma N)^-1 = M_h'' for h'' = r*h2(r^2 T).
+    """Produce (r, N) with N * M_h = M_h'' * gamma(N) for h'' = r*h2(r^2 T).
 
     N = K_h'' * K_h^-1 is computed in the Laurent group and must come out
     polynomial with determinant 1; every one of those facts is re-verified
@@ -141,14 +132,17 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
         raise InternalConsistencyError("certificate left the polynomial group")
     src = make_twist(spec_src)
     dst = make_twist(spec_dst)
-    if conjugator * src * conjugator.galois().inverse() != dst:
+    if conjugator * src != dst * conjugator.galois():
         raise InternalConsistencyError("certificate fails to conjugate the twists")
     return r, conjugator
 
 
 def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
                        r: Rational, conjugator: StructuredMatrix) -> bool:
-    """Independent re-check of a stored certificate (r, N)."""
+    """Independent re-check of a stored certificate (r, N): N polynomial with
+    det(N) a nonzero constant and N * M_h = M_h'' * gamma(N).  Because
+    det(gamma N) = conj(det N) is then a nonzero constant too, the equation is
+    the same condition as N * M_h * (gamma N)^-1 = M_h''."""
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
     r = Fraction(r)
@@ -161,11 +155,7 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     dst = make_twist(FormSpec(m, h_target))
     if conjugator.e != src.e:
         return False
-    try:
-        galois_inverse = conjugator.galois().inverse()
-    except ValueError:
-        return False
-    return conjugator * src * galois_inverse == dst
+    return conjugator * src == dst * conjugator.galois()
 
 
 def case_m2_conditions(c0: Rational, c1: Rational,

@@ -34,6 +34,15 @@ from .matrices import Membership, StructuredMatrix
 from .polymaps import PolyMap, RealStructureMap, compose, expand
 
 
+def _require_real_poly(p: LaurentPoly, name: str) -> None:
+    if not isinstance(p, LaurentPoly):
+        raise TypeError(f"{name} must be a LaurentPoly")
+    if not p.is_polynomial:
+        raise ValueError(f"{name} must be a polynomial in T")
+    if not p.is_real:
+        raise ValueError(f"{name} must have real coefficients")
+
+
 @dataclass(frozen=True)
 class FormSpec:
     """Family parameters: m >= 1 (so the fiber weight is n = 2m+1) and a real
@@ -45,12 +54,7 @@ class FormSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not isinstance(self.h, LaurentPoly):
-            raise TypeError("h must be a LaurentPoly")
-        if not self.h.is_polynomial:
-            raise ValueError("h must be a polynomial in T")
-        if not self.h.is_real:
-            raise ValueError("h must have real coefficients")
+        _require_real_poly(self.h, "h")
 
     @property
     def n(self) -> int:
@@ -88,7 +92,7 @@ def splitting_entries(spec: FormSpec) -> tuple[LaurentPoly, LaurentPoly, Laurent
 
 def make_splitting(spec: FormSpec) -> StructuredMatrix:
     """The matrix K_h that trivializes M_h on the open locus T != 0:
-    det(K_h) = 1 and K_h * (gamma K_h)^-1 = M_h."""
+    det(K_h) = 1 and K_h = M_h * gamma(K_h)."""
     q, s, r = splitting_entries(spec)
     return StructuredMatrix(spec.n, LaurentPoly.one(), q, s, r)
 
@@ -100,11 +104,10 @@ def verify_cocycle(matrix: StructuredMatrix) -> bool:
 
 
 def verify_splitting(spec: FormSpec) -> bool:
-    """det(K_h) = 1 and K_h * (gamma K_h)^-1 = M_h, both exact."""
+    """det(K_h) = 1 and K_h = M_h * gamma(K_h), both exact.  Since
+    det(gamma K_h) = conj(det K_h) = 1, the second is K_h * (gamma K_h)^-1 = M_h."""
     k = make_splitting(spec)
-    if k.det() != LaurentPoly.one():
-        return False
-    return k * k.galois().inverse() == make_twist(spec)
+    return k.det() == LaurentPoly.one() and k == make_twist(spec) * k.galois()
 
 
 def tau0_map() -> PolyMap:
@@ -182,12 +185,9 @@ def verify_case12_bundle() -> bool:
 
 
 def verify_case12_linearization() -> bool:
-    """The non-real conjugator N splits the weight-(1,2) twist:
-    N * (gamma N)^-1 = Phi with det(N) a nonzero constant and N polynomial."""
+    """The non-real conjugator N splits the weight-(1,2) twist: N is
+    polynomial with det(N) a nonzero constant, and N = Phi * gamma(N).  Since
+    gamma(N) then has a nonzero constant determinant too, the second is
+    N * (gamma N)^-1 = Phi."""
     n = case12_conjugator()
-    det = n.det()
-    if not (det.is_constant and not det.is_zero):
-        return False
-    if n.membership() is not Membership.LAMBDA:
-        return False
-    return n * n.galois().inverse() == case12_twist()
+    return n.membership() is Membership.LAMBDA and n == case12_twist() * n.galois()

@@ -217,15 +217,13 @@ def _build_matrix(e: int, re_vec: Optional[Sequence[Fraction]],
 
 def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
                        m_dst: StructuredMatrix) -> bool:
-    """Exact check that candidate lies in the polynomial group and
+    """Exact check that candidate N lies in the polynomial group and
+    N * M_src = M_dst * gamma(N).  With det(N) a nonzero constant so is
+    det(gamma N) = conj(det N), and the equation is the same condition as
     N * M_src * (gamma N)^-1 = M_dst."""
     if candidate.membership() is not Membership.LAMBDA:
         return False
-    try:
-        galois_inverse = candidate.galois().inverse()
-    except ValueError:
-        return False
-    return candidate * m_src * galois_inverse == m_dst
+    return candidate * m_src == m_dst * candidate.galois()
 
 
 IntCandidate = tuple[Optional[list[int]], Optional[list[int]], int]
@@ -352,9 +350,9 @@ def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
     grid = [Fraction(r) for r in r_grid]
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
+    m_src = make_twist(FormSpec(m, h))
     results = []
     for r in grid:
-        m_src = make_twist(FormSpec(m, h))
         m_dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
         results.extend((r, matrix) for matrix in conjugators_between(m_src, m_dst, deg_bound))
     return results

@@ -10,6 +10,10 @@ by the package.
   (a, b) -> (ra, rb), against which the coefficientwise scaling rule
   ``LaurentPoly.apply_scaling`` is cross-checked.
 
+* ``conjugates_by_inverse``: the twisted-conjugation identity written with
+  an inverse, N * M * (gamma N)^-1 = M', against which the package's
+  inverse-free N * M = M' * gamma(N) is cross-checked.
+
 Helpers that only the tests need:
 
 * ``scaling_map`` and ``base_scaling_map``: the circle point and the base
@@ -25,6 +29,7 @@ from fractions import Fraction
 from circleforms import (
     FormSpec,
     LaurentPoly,
+    Membership,
     MultiPoly,
     PolyMap,
     StructuredMatrix,
@@ -124,6 +129,13 @@ def solve_in_invariant_subring(poly, m):
     if any(rhs_im) and fraction_solve_linear(rows, rhs_im, len(products)) is None:
         return False
     return True
+
+
+def conjugates_by_inverse(n, src, dst):
+    """N in Lambda and N * src * (gamma N)^-1 == dst."""
+    if n.membership() is not Membership.LAMBDA:
+        return False
+    return n * src * n.galois().inverse() == dst
 
 
 def substitute_power(p, scale):

@@ -1,6 +1,8 @@
 """Shared hypothesis strategies for exact algebra objects."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -32,3 +34,19 @@ def structured(e_values=(3, 4, 5), entry_strategy=poly_laurents):
 
 
 structured_matrices = structured()
+
+
+small_polys = st.dictionaries(st.integers(0, 2), gaussians, max_size=2).map(LaurentPoly)
+
+
+def lambda_matrices(e):
+    """Elements of Lambda (polynomial entries, nonzero constant determinant)
+    at cross-exponent e: a constant diagonal unit times up to three
+    elementary factors (1, p; 0, 1) and (1, 0; q, 1)."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    upper = small_polys.map(lambda p: StructuredMatrix(e, one, p, zero, one))
+    lower = small_polys.map(lambda q: StructuredMatrix(e, one, zero, q, one))
+    diagonal = st.builds(StructuredMatrix.diagonal, st.just(e),
+                         nonzero_gaussians, nonzero_gaussians)
+    factors = st.lists(st.one_of(upper, lower), max_size=3)
+    return st.tuples(diagonal, factors).map(lambda parts: reduce(mul, parts[1], parts[0]))

@@ -22,7 +22,7 @@ from circleforms import (
 from circleforms import equivalence
 from circleforms.equivalence import InternalConsistencyError, equivalence_key
 
-from reference_paths import pairwise_classify
+from reference_paths import conjugates_by_inverse, pairwise_classify
 from strategies import nonzero_rationals, real_polys
 
 T = LaurentPoly.variable()
@@ -83,6 +83,19 @@ class TestDecide:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             decide_equiv(one, one, 0)
+
+    @pytest.mark.parametrize("bad", [
+        [1, 2],
+        LaurentPoly.monomial(-1),
+        LaurentPoly.constant(GaussianRational(0, 1)),
+    ], ids=["not-laurent", "negative-exponent", "non-real"])
+    def test_same_rejection_as_form_spec(self, bad):
+        with pytest.raises(Exception) as from_spec:
+            FormSpec(1, bad)
+        with pytest.raises(Exception) as from_decide:
+            decide_equiv(bad, one, 1)
+        assert type(from_spec.value) is type(from_decide.value)
+        assert str(from_spec.value) == str(from_decide.value)
 
     def test_json_shape(self):
         obj = decide_equiv(poly(1, 1), poly(2, 8), 2).to_json()
@@ -177,6 +190,8 @@ class TestCertificates:
         assert not verify_certificate(h, h2, 2, r, tampered)
         # a unit of the wrong cross exponent (e = 3, while m = 2 needs 5)
         assert not verify_certificate(h, h2, 2, r, StructuredMatrix.identity(3))
+        # 0 * M_h = M_h'' * gamma(0) holds, so only the Lambda check rejects it
+        assert not verify_certificate(h, h2, 2, r, StructuredMatrix(5, zero, zero, zero, zero))
 
     def test_verify_rejects_wrong_r(self):
         h, h2 = poly(1, 1), poly(2, 8)
@@ -197,7 +212,7 @@ class TestCertificates:
         assert result.certificate is not None
         r, conj = result.certificate
         target = make_twist(FormSpec(m, h2.apply_scaling(r)))
-        assert conj * make_twist(FormSpec(m, h)) * conj.galois().inverse() == target
+        assert conjugates_by_inverse(conj, make_twist(FormSpec(m, h)), target)
 
 
 class TestClassify:

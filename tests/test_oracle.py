@@ -24,8 +24,8 @@ from circleforms import (
 from circleforms.oracle import MAX_DEG_BOUND, _conjugation_block
 
 from reference_oracle import fraction_solve_linear
-from reference_paths import proof_conditions
-from strategies import real_polys
+from reference_paths import conjugates_by_inverse, proof_conditions
+from strategies import lambda_matrices, real_polys
 
 T = LaurentPoly.variable()
 one = LaurentPoly.one()
@@ -160,6 +160,24 @@ class TestVerifyConjugation:
         cand = StructuredMatrix(3, LaurentPoly.monomial(-1), zero, zero, LaurentPoly.monomial(1))
         assert not verify_conjugation(cand, m, m)
 
+    def test_zero_matrix_fails_membership(self):
+        # 0 * M = M' * gamma(0) holds, so only the Lambda check rejects it
+        m0 = make_twist(FormSpec(1, zero))
+        m1 = make_twist(FormSpec(1, one))
+        assert not verify_conjugation(StructuredMatrix(3, zero, zero, zero, zero), m0, m1)
+
+    @given(data=st.data(), m=st.integers(1, 2), h=real_polys)
+    @settings(max_examples=40)
+    def test_agrees_with_inverse_reference(self, data, m, h):
+        n = data.draw(lambda_matrices(2 * m + 1))
+        src = make_twist(FormSpec(m, h))
+        dst = n * src * n.galois().inverse()
+        assert verify_conjugation(n, src, dst)
+        assert conjugates_by_inverse(n, src, dst)
+        bent = StructuredMatrix(dst.e, dst.P + one, dst.Q, dst.S, dst.R)
+        assert not verify_conjugation(n, src, bent)
+        assert not conjugates_by_inverse(n, src, bent)
+
 
 class TestSearch:
     def test_self_pair_contains_identity(self):
@@ -185,6 +203,18 @@ class TestSearch:
             # rebuild the target independently: h'' = r * h2(r^2 T)
             m_dst = make_twist(FormSpec(2, poly(0, -1).apply_scaling(r)))
             assert verify_conjugation(n, m_src, m_dst)
+
+    def test_source_twist_built_once(self, monkeypatch):
+        calls = []
+
+        def counting_make_twist(spec):
+            calls.append(spec)
+            return make_twist(spec)
+
+        monkeypatch.setattr("circleforms.oracle.make_twist", counting_make_twist)
+        grid = [F(1), F(-1), F(1, 2)]
+        search_conjugator(poly(1, 1), poly(2, 8), 2, 1, grid)
+        assert len(calls) == 1 + len(grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
