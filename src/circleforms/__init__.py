@@ -10,7 +10,7 @@ certificates, and an independent brute-force conjugator search.
 
 from .gaussian import GaussianRational, Rational, format_rational, parse_rational, rational_odd_root
 from .laurent import LaurentPoly, geometric_sum
-from .matrices import Membership, StructuredMatrix
+from .matrices import StructuredMatrix
 from .polymaps import (
     MultiPoly,
     PolyMap,
@@ -65,7 +65,6 @@ __all__ = [
     "InvariantTuple",
     "LaurentPoly",
     "LinearSystem",
-    "Membership",
     "MultiPoly",
     "PolyMap",
     "Rational",

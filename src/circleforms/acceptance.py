@@ -22,10 +22,12 @@ from .forms import (
     case12_involution,
     linear_circle_form,
     make_circle_form,
+    make_splitting,
     make_twist,
     twist_automorphism,
     verify_case12_bundle,
     verify_case12_linearization,
+    verify_cocycle,
     verify_splitting,
 )
 from .gaussian import GaussianRational
@@ -59,16 +61,15 @@ def twist_family_suite() -> tuple[bool, str]:
     one = LaurentPoly.one()
     for m, h in _family_grid():
         spec = FormSpec(m, h)
-        weights = spec.weights()
         twist = make_twist(spec)
         if twist.det() != one:
             return False, f"det != 1 at m={m}, h={h}"
-        if twist * twist.galois() != StructuredMatrix.identity(spec.n):
+        if not verify_cocycle(twist):
             return False, f"cocycle fails at m={m}, h={h}"
-        mu = make_circle_form(spec)
+        mu = make_circle_form(twist)
         if not is_involution(mu):
             return False, f"mu not an involution at m={m}, h={h}"
-        if not weight_check(mu.map, weights, -1):
+        if not weight_check(mu.map, spec.weights(), -1):
             return False, f"weight grading fails at m={m}, h={h}"
         cases += 1
     return True, f"{cases} (m, h) cases exact"
@@ -79,7 +80,8 @@ def splitting_suite() -> tuple[bool, str]:
     same grid."""
     cases = 0
     for m, h in _family_grid():
-        if not verify_splitting(FormSpec(m, h)):
+        spec = FormSpec(m, h)
+        if not verify_splitting(make_twist(spec), make_splitting(spec)):
             return False, f"splitting fails at m={m}, h={h}"
         cases += 1
     return True, f"{cases} (m, h) cases exact"
@@ -136,13 +138,13 @@ def ten_singletons() -> tuple[bool, str]:
 def case12_suite() -> tuple[bool, str]:
     """The weight-(1,2) twist defines an orthogonal-bundle involution and its
     circle form linearizes through the stored non-real conjugator."""
-    if not verify_case12_linearization():
+    conj = case12_conjugator()
+    if not verify_case12_linearization(conj):
         return False, "conjugation to the linear form fails"
     if not verify_case12_bundle():
         return False, "twist times its swap-twin is not the identity"
     if not o2_relation_check(case12_involution(), CASE12_WEIGHTS):
         return False, "bundle involution relations fail"
-    conj = case12_conjugator()
     if conj.galois() == conj:
         return False, "conjugator unexpectedly has real coefficients"
     return True, "linearization, bundle conditions and twist relations exact"

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .forms import FormSpec, _require_real_poly, make_splitting, make_twist
 from .gaussian import Rational, format_rational, rational_odd_root
 from .laurent import LaurentPoly
-from .matrices import Membership, StructuredMatrix
+from .matrices import StructuredMatrix
 
 
 class InternalConsistencyError(RuntimeError):
@@ -126,9 +126,10 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     spec_dst = FormSpec(m, h_target)
     conjugator = make_splitting(spec_dst) * make_splitting(spec_src).inverse()
 
+    # With det N = 1, N is in Lambda exactly when its entries are polynomial.
     if conjugator.det() != LaurentPoly.one():
         raise InternalConsistencyError("certificate determinant is not 1")
-    if conjugator.membership() is not Membership.LAMBDA:
+    if not conjugator.is_polynomial:
         raise InternalConsistencyError("certificate left the polynomial group")
     src = make_twist(spec_src)
     dst = make_twist(spec_dst)
@@ -148,7 +149,7 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     r = Fraction(r)
     if not r:
         return False
-    if conjugator.membership() is not Membership.LAMBDA:
+    if not conjugator.in_lambda():
         return False
     h_target = h2.apply_scaling(r)
     src = make_twist(FormSpec(m, h))

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
-from .matrices import Membership, StructuredMatrix
+from .matrices import StructuredMatrix
 from .polymaps import PolyMap, RealStructureMap, compose, expand
 
 
@@ -103,11 +103,11 @@ def verify_cocycle(matrix: StructuredMatrix) -> bool:
     return matrix * matrix.galois() == StructuredMatrix.identity(matrix.e)
 
 
-def verify_splitting(spec: FormSpec) -> bool:
-    """det(K_h) = 1 and K_h = M_h * gamma(K_h), both exact.  Since
-    det(gamma K_h) = conj(det K_h) = 1, the second is K_h * (gamma K_h)^-1 = M_h."""
-    k = make_splitting(spec)
-    return k.det() == LaurentPoly.one() and k == make_twist(spec) * k.galois()
+def verify_splitting(twist: StructuredMatrix, splitting: StructuredMatrix) -> bool:
+    """det(K) = 1 and K = M * gamma(K), both exact, for a twist M and its
+    splitting K.  Since det(gamma K) = conj(det K) = 1, the second is
+    K * (gamma K)^-1 = M."""
+    return splitting.det() == LaurentPoly.one() and splitting == twist * splitting.galois()
 
 
 def tau0_map() -> PolyMap:
@@ -125,9 +125,9 @@ def twist_automorphism(matrix: StructuredMatrix) -> RealStructureMap:
     return RealStructureMap(expand(matrix), conjugates_input=False)
 
 
-def make_circle_form(spec: FormSpec) -> RealStructureMap:
-    """mu_h = phi_{M_h} o mu_0."""
-    return compose(twist_automorphism(make_twist(spec)), linear_circle_form())
+def make_circle_form(twist: StructuredMatrix) -> RealStructureMap:
+    """mu_M = phi_M o mu_0; for M = M_h this is the family form mu_h."""
+    return compose(twist_automorphism(twist), linear_circle_form())
 
 
 CASE12_WEIGHTS = (1, -1, 2, -2)
@@ -180,14 +180,13 @@ def verify_case12_bundle() -> bool:
     """The twist composes with its holomorphic swap-twin to the identity,
     so tau above squares to the identity."""
     phi = case12_twist()
-    ident = StructuredMatrix.identity(phi.e)
-    return phi * phi.s_twist() == ident and phi.s_twist() * phi == ident
+    swap, ident = phi.s_twist(), StructuredMatrix.identity(phi.e)
+    return phi * swap == ident and swap * phi == ident
 
 
-def verify_case12_linearization() -> bool:
-    """The non-real conjugator N splits the weight-(1,2) twist: N is
-    polynomial with det(N) a nonzero constant, and N = Phi * gamma(N).  Since
-    gamma(N) then has a nonzero constant determinant too, the second is
-    N * (gamma N)^-1 = Phi."""
-    n = case12_conjugator()
-    return n.membership() is Membership.LAMBDA and n == case12_twist() * n.galois()
+def verify_case12_linearization(conjugator: StructuredMatrix) -> bool:
+    """The non-real conjugator N (case12_conjugator()) splits the weight-(1,2)
+    twist: N is polynomial with det(N) a nonzero constant, and
+    N = Phi * gamma(N).  Since gamma(N) then has a nonzero constant
+    determinant too, the second is N * (gamma N)^-1 = Phi."""
+    return conjugator.in_lambda() and conjugator == case12_twist() * conjugator.galois()

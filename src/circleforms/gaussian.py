@@ -212,8 +212,3 @@ class GaussianRational:
         if not isinstance(obj, dict) or "re" not in obj:
             raise ValueError(f"not a Gaussian rational object: {obj!r}")
         return cls(parse_rational(obj["re"]), parse_rational(obj.get("im", "0")))
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

@@ -6,10 +6,9 @@ the whole point of the representation.  One cross-exponent parameter covers
 both the weight-(2, 2m+1) family (e = 2m+1) and the weight-(1, 2) case
 (e = 4); the algebra is identical.
 
-Two membership classes matter:
-
-* Lambda:       all entries polynomial in T and det a nonzero constant;
-* Lambda-prime: entries Laurent and det = c * T^k with c nonzero.
+The polynomial group Lambda, tested by in_lambda(), holds the matrices whose
+entries are polynomial in T and whose det is a nonzero constant.  The
+splitting matrices K_h are Laurent with det 1, so they lie outside it.
 
 The Galois twist gamma sends (P, Q, S, R) to (bar R, bar S, bar Q, bar P);
 the holomorphic bundle twist does the same swap without conjugation.
@@ -17,16 +16,8 @@ the holomorphic bundle twist does the same swap without conjugation.
 
 from __future__ import annotations
 
-import enum
-
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly
-
-
-class Membership(enum.Enum):
-    LAMBDA = "Lambda"
-    LAMBDA_PRIME = "LambdaPrime"
-    NEITHER = "Neither"
 
 
 class StructuredMatrix:
@@ -92,16 +83,17 @@ class StructuredMatrix:
             scale * self.P,
         )
 
-    def membership(self) -> Membership:
+    @property
+    def is_polynomial(self) -> bool:
+        return all(p.is_polynomial for p in self.entries())
+
+    def in_lambda(self) -> bool:
+        """Entries polynomial and det a nonzero constant.  The entries are
+        checked first, so a Laurent matrix is rejected without a det."""
+        if not self.is_polynomial:
+            return False
         det = self.det()
-        if det.is_zero:
-            return Membership.NEITHER
-        all_poly = all(p.is_polynomial for p in self.entries())
-        if all_poly and det.is_constant:
-            return Membership.LAMBDA
-        if det.monomial_parts() is not None:
-            return Membership.LAMBDA_PRIME
-        return Membership.NEITHER
+        return det.is_constant and not det.is_zero
 
     def __eq__(self, other):
         if not isinstance(other, StructuredMatrix):

@@ -15,7 +15,7 @@ integers after one common denominator is cleared.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
-itself.  Membership filtering (det a nonzero constant) is a quadratic
+itself.  The Lambda filter (det a nonzero constant) is a quadratic
 condition, so the affine solution set is scanned rather than solved: single
 basis vectors and +-1 combinations of up to two of them.  Each candidate's
 determinant is tested with integer polynomial products first; only those
@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 from .forms import FormSpec, make_twist
 from .gaussian import GaussianRational, Rational
 from .laurent import LaurentPoly
-from .matrices import Membership, StructuredMatrix
+from .matrices import StructuredMatrix
 
 VarLabel = tuple[str, int, str]  # (entry P/Q/S/R, exponent, "re" or "im")
 
@@ -221,7 +221,7 @@ def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
     N * M_src = M_dst * gamma(N).  With det(N) a nonzero constant so is
     det(gamma N) = conj(det N), and the equation is the same condition as
     N * M_src * (gamma N)^-1 = M_dst."""
-    if candidate.membership() is not Membership.LAMBDA:
+    if not candidate.in_lambda():
         return False
     return candidate * m_src == m_dst * candidate.galois()
 

@@ -49,7 +49,7 @@ def verify_relation(m: int) -> bool:
 
 
 def in_invariant_subring(poly: MultiPoly, m: int) -> bool:
-    """Membership in Q(i)[T, W, U, V]: every monomial has weighted degree 0.
+    """Whether poly lies in Q(i)[T, W, U, V]: every monomial has weighted degree 0.
 
     The generators are monomials of weight 0, and they generate every
     monomial of weight 0: for a^i b^j x^k y^l, weight 2(i-j) + n(k-l) = 0

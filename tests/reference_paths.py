@@ -29,7 +29,6 @@ from fractions import Fraction
 from circleforms import (
     FormSpec,
     LaurentPoly,
-    Membership,
     MultiPoly,
     PolyMap,
     StructuredMatrix,
@@ -133,7 +132,7 @@ def solve_in_invariant_subring(poly, m):
 
 def conjugates_by_inverse(n, src, dst):
     """N in Lambda and N * src * (gamma N)^-1 == dst."""
-    if n.membership() is not Membership.LAMBDA:
+    if not n.in_lambda():
         return False
     return n * src * n.galois().inverse() == dst
 

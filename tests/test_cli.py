@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circleforms import cli
+from circleforms import cli, forms
 from circleforms.cli import canonical_json, main, parse_poly, parse_r_grid
 from circleforms import InternalConsistencyError, LaurentPoly, StructuredMatrix
 
@@ -227,6 +227,70 @@ class TestCase12AndQuotient:
         code, out, _ = run(capsys, "quotient", "--m", "1")
         assert code == 0
         assert "relation" in out
+
+
+# Each subcommand that takes --m, with the other arguments it requires.
+M_SUBCOMMANDS = {
+    "verify-form": ["--h", "1"],
+    "equiv": ["--h", "1", "--hp", "1"],
+    "verify-certificate": ["--h", "1", "--hp", "1", "--file", "missing.json"],
+    "classify": ["--file", "missing.json"],
+    "oracle": ["--h", "1", "--hp", "1"],
+    "quotient": [],
+}
+
+
+class TestMCap:
+    @pytest.mark.parametrize("command", sorted(M_SUBCOMMANDS))
+    def test_above_cap_refused_before_parsing(self, capsys, monkeypatch, command):
+        def nothing_built(*args):
+            raise AssertionError("work started above the --m cap")
+
+        for name in ("parse_poly", "FormSpec", "verify_relation", "search_conjugator"):
+            monkeypatch.setattr(cli, name, nothing_built)
+        code, out, err = run(capsys, command, "--m", str(cli.MAX_M + 1), *M_SUBCOMMANDS[command])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --m must be at most {cli.MAX_M}\n"
+
+    def test_quotient_admits_the_cap(self, capsys):
+        code, _, _ = run(capsys, "quotient", "--m", str(cli.MAX_M))
+        assert code == 0
+
+    def test_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify-form", "--help"])
+        assert f"1..{cli.MAX_M}" in capsys.readouterr().out
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replace `name` in each module by one counting wrapper of the original
+    in the first; return the list that collects one entry per call."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBuildsOncePerCall:
+    @pytest.mark.parametrize("m,h", [("1", "1"), ("2", "1,1"), ("3", "0,2,-1")])
+    def test_verify_form_builds_the_twist_once(self, capsys, monkeypatch, m, h):
+        calls = count_calls(monkeypatch, "make_twist", forms, cli)
+        code, _, _ = run(capsys, "verify-form", "--m", m, "--h", h)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_case12_builds_the_conjugator_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "case12_conjugator", forms, cli)
+        code, _, _ = run(capsys, "case12")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestSelftest:

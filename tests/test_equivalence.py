@@ -9,7 +9,6 @@ from circleforms import (
     FormSpec,
     GaussianRational,
     LaurentPoly,
-    Membership,
     StructuredMatrix,
     build_certificate,
     case_m2_conditions,
@@ -165,19 +164,38 @@ class TestCertificates:
     def test_monomial_target(self):
         r, conj = build_certificate(zero, LaurentPoly.monomial(2), 2, Fraction(1))
         assert conj == make_splitting(FormSpec(2, LaurentPoly.monomial(2)))
-        assert conj.membership() is Membership.LAMBDA
+        assert conj.in_lambda()
 
     def test_nontrivial_tail(self):
         # forms differing only above T^m still get polynomial conjugators
         h = poly(1, 0, 0, 2)
         h2 = poly(1, 0, 5)
         r, conj = build_certificate(h, h2, 2, Fraction(1))
-        assert conj.membership() is Membership.LAMBDA
+        assert conj.in_lambda()
         assert verify_certificate(h, h2, 2, r, conj)
 
     def test_non_witness_rejected(self):
         with pytest.raises(ValueError):
             build_certificate(one, poly(3), 1, Fraction(2))
+
+    @pytest.mark.parametrize("h,h2,m,r", [
+        (poly(1, 1), poly(2, 8), 2, Fraction(1, 2)),
+        (zero, LaurentPoly.monomial(2), 2, Fraction(1)),
+        (poly(1, 0, 0, 2), poly(1, 0, 5), 2, Fraction(1)),
+    ])
+    def test_two_dets_per_certificate(self, monkeypatch, h, h2, m, r):
+        # det N for both postconditions, and det K_h inside .inverse()
+        calls = []
+        original = StructuredMatrix.det
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(StructuredMatrix, "det", counted)
+        _, conj = build_certificate(h, h2, m, r)
+        assert len(calls) == 2
+        assert calls[-1] is conj
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from circleforms import (
     FormSpec,
     GaussianRational,
     LaurentPoly,
-    Membership,
     StructuredMatrix,
     case12_conjugator,
     case12_involution,
@@ -90,7 +89,7 @@ class TestTwistConstructor:
         assert twist.R == sum((T ** (3 * j) for j in range(5)), zero)
 
     def test_membership(self):
-        assert make_twist(FormSpec(2, one + T)).membership() is Membership.LAMBDA
+        assert make_twist(FormSpec(2, one + T)).in_lambda()
 
     def test_galois_formula_for_real_h(self):
         spec = FormSpec(1, one + T)
@@ -125,8 +124,10 @@ class TestSplittingConstructor:
         assert split.R == one + T
 
     def test_laurent_membership(self):
+        # K_h is Laurent with det 1: a unit outside the polynomial group
         split = make_splitting(FormSpec(2, one + T))
-        assert split.membership() is Membership.LAMBDA_PRIME
+        assert not split.in_lambda()
+        assert split.det() == one
 
     def test_det_is_one_on_samples(self):
         for m, coeffs in [(1, [1]), (2, [1, 2]), (3, [0, 1, 0, 2])]:
@@ -155,20 +156,24 @@ class TestCocycle:
         assert not verify_cocycle(m)
 
 
+def check_splitting(spec):
+    return verify_splitting(make_twist(spec), make_splitting(spec))
+
+
 class TestSplittingIdentity:
     def test_trivial(self):
-        assert verify_splitting(FormSpec(1, zero))
+        assert check_splitting(FormSpec(1, zero))
 
     def test_m1_h1(self):
-        assert verify_splitting(FormSpec(1, one))
+        assert check_splitting(FormSpec(1, one))
 
     def test_deeper_case(self):
-        assert verify_splitting(FormSpec(3, LaurentPoly.from_coeffs([1, 2])))
+        assert check_splitting(FormSpec(3, LaurentPoly.from_coeffs([1, 2])))
 
     def test_grid(self):
         for m in (1, 2):
             for coeffs in itertools.product((-1, 0, 1), repeat=2):
-                assert verify_splitting(FormSpec(m, LaurentPoly.from_coeffs(coeffs)))
+                assert check_splitting(FormSpec(m, LaurentPoly.from_coeffs(coeffs)))
 
 
 class TestCircleForms:
@@ -178,14 +183,15 @@ class TestCircleForms:
     def test_weight_compat_samples(self):
         for m, coeffs in [(1, [1]), (2, [2, -1]), (1, [0, 3])]:
             spec = FormSpec(m, LaurentPoly.from_coeffs(coeffs))
-            mu = make_circle_form(spec)
+            mu = make_circle_form(make_twist(spec))
             assert is_involution(mu)
             assert weight_check(mu.map, spec.weights(), -1)
 
     def test_coherence_with_matrix_route(self):
         # the expanded route and the matrix cocycle agree on involutivity
         spec = FormSpec(2, LaurentPoly.from_coeffs([1, 1]))
-        assert verify_cocycle(make_twist(spec)) == is_involution(make_circle_form(spec))
+        twist = make_twist(spec)
+        assert verify_cocycle(twist) == is_involution(make_circle_form(twist))
 
 
 class TestCase12:
@@ -218,7 +224,7 @@ class TestCase12:
         assert o2_relation_check(case12_involution(), CASE12_WEIGHTS)
 
     def test_linearization(self):
-        assert verify_case12_linearization()
+        assert verify_case12_linearization(case12_conjugator())
 
     def test_conjugator_is_not_real(self):
         conj = case12_conjugator()

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleforms import GaussianRational, LaurentPoly, Membership, StructuredMatrix
+from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
 
 from reference_paths import base_rescale, fixed_point_shape, substitute_power
 from strategies import gaussians, laurents, nonzero_gaussians, nonzero_rationals, structured_matrices
@@ -147,36 +147,49 @@ class TestBaseRescale:
 class TestMembership:
     def test_zero_matrix_neither(self):
         m = StructuredMatrix(3, zero, zero, zero, zero)
-        assert m.membership() is Membership.NEITHER
+        assert not m.in_lambda()
+        assert m.det().is_zero
 
     def test_monomial_det_is_lambda_prime(self):
         m = StructuredMatrix(3, zero, one, one, zero)  # det = -T^3
-        assert m.membership() is Membership.LAMBDA_PRIME
+        assert not m.in_lambda()
+        assert m.det().monomial_parts() == (GaussianRational(-1), 3)
 
     def test_polynomial_unit_det_is_lambda(self):
         m = StructuredMatrix(3, one - T, one, -one, one + T + T * T)
         assert m.det() == one
-        assert m.membership() is Membership.LAMBDA
+        assert m.in_lambda()
 
     def test_nonconstant_nonmonomial_det_is_neither(self):
         m = StructuredMatrix(3, one + T, zero, zero, one)
-        assert m.membership() is Membership.NEITHER
+        assert not m.in_lambda()
+        assert m.det().monomial_parts() is None
+
+    def test_laurent_entries_rejected_without_det(self, monkeypatch):
+        def no_det(matrix):
+            raise AssertionError("det computed for a Laurent matrix")
+
+        m = StructuredMatrix(3, one, LaurentPoly.monomial(-1), zero, one)
+        monkeypatch.setattr(StructuredMatrix, "det", no_det)
+        assert not m.in_lambda()
 
     @given(pair=lambda_element_pairs())
     @settings(max_examples=30)
     def test_lambda_closed_under_product_and_inverse(self, pair):
         m1, m2 = pair
-        assert m1.membership() is Membership.LAMBDA
-        assert (m1 * m2).membership() is Membership.LAMBDA
-        assert m1.inverse().membership() is Membership.LAMBDA
+        assert m1.in_lambda()
+        assert (m1 * m2).in_lambda()
+        assert m1.inverse().in_lambda()
 
     @given(m=lambda_elements(), j=st.integers(-2, 2), c=nonzero_gaussians)
     @settings(max_examples=30)
     def test_lambda_prime_closure(self, m, j, c):
         unit = StructuredMatrix(m.e, LaurentPoly.monomial(j, c), zero, zero, one)
         prod = m * unit
-        assert prod.membership() in (Membership.LAMBDA, Membership.LAMBDA_PRIME)
-        assert prod.inverse().membership() in (Membership.LAMBDA, Membership.LAMBDA_PRIME)
+        # det(prod) = c*T^j * det(m) stays a Laurent unit; only j = 0 stays in Lambda
+        for mat in (prod, prod.inverse()):
+            assert mat.det().monomial_parts() is not None
+            assert mat.in_lambda() == (j == 0)
 
 
 class TestFixedPointShape:

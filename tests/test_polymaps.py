@@ -79,8 +79,9 @@ class TestCompose:
 
     def test_circle_form_is_twist_after_swap(self):
         spec = FormSpec(1, LaurentPoly.one())
-        mu = make_circle_form(spec)
-        manual = compose(twist_automorphism(make_twist(spec)), linear_circle_form())
+        twist = make_twist(spec)
+        mu = make_circle_form(twist)
+        manual = compose(twist_automorphism(twist), linear_circle_form())
         assert mu == manual
         assert mu.conjugates_input
 
@@ -99,7 +100,7 @@ class TestInvolutions:
         assert is_involution(linear_circle_form())
 
     def test_twisted_form(self):
-        assert is_involution(make_circle_form(FormSpec(1, LaurentPoly.one())))
+        assert is_involution(make_circle_form(make_twist(FormSpec(1, LaurentPoly.one()))))
 
     def test_twist_alone_is_not(self):
         spec = FormSpec(1, LaurentPoly.one())

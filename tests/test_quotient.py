@@ -15,6 +15,7 @@ from circleforms import (
     linear_circle_form,
     make_circle_form,
     make_invariants,
+    make_twist,
     verify_relation,
 )
 from circleforms.quotient import in_invariant_subring
@@ -146,7 +147,7 @@ class TestInducedImages:
 
     def test_twisted_form_images_are_invariant_and_expressible(self):
         spec = FormSpec(1, LaurentPoly.one())
-        mu = make_circle_form(spec)
+        mu = make_circle_form(make_twist(spec))
         res = induced_images(mu, 1)
         for img in res.images:
             assert img.weighted_degrees(spec.weights()) == {0}
@@ -154,7 +155,7 @@ class TestInducedImages:
 
     @pytest.mark.parametrize("coeffs,m", [([1], 1), ([0, 2], 2), ([1, -1], 1)])
     def test_double_pullback_with_conjugation_is_identity(self, coeffs, m):
-        mu = make_circle_form(FormSpec(m, LaurentPoly.from_coeffs(coeffs)))
+        mu = make_circle_form(make_twist(FormSpec(m, LaurentPoly.from_coeffs(coeffs))))
 
         def pull(g):
             return g.substitute(mu.map.images).bar()
