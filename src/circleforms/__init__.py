@@ -23,6 +23,7 @@ from .polymaps import (
 )
 from .forms import (
     FormSpec,
+    case12_checks,
     case12_conjugator,
     case12_involution,
     case12_twist,
@@ -31,8 +32,8 @@ from .forms import (
     make_splitting,
     make_twist,
     verify_case12_bundle,
-    verify_case12_linearization,
     verify_cocycle,
+    verify_conjugation,
     verify_splitting,
 )
 from .equivalence import (
@@ -50,7 +51,6 @@ from .oracle import (
     conjugators_between,
     nullspace,
     search_conjugator,
-    verify_conjugation,
 )
 from .quotient import InducedImages, InvariantTuple, induced_images, make_invariants, verify_relation
 
@@ -71,6 +71,7 @@ __all__ = [
     "RealStructureMap",
     "StructuredMatrix",
     "build_certificate",
+    "case12_checks",
     "case12_conjugator",
     "case12_involution",
     "case12_twist",
@@ -96,7 +97,6 @@ __all__ = [
     "rational_odd_root",
     "search_conjugator",
     "verify_case12_bundle",
-    "verify_case12_linearization",
     "verify_certificate",
     "verify_cocycle",
     "verify_conjugation",

@@ -26,24 +26,20 @@ from typing import Optional, Sequence
 
 from .equivalence import decide_equiv, verify_certificate
 from .forms import (
-    CASE12_WEIGHTS,
     FormSpec,
-    case12_conjugator,
-    case12_involution,
+    case12_checks,
     linear_circle_form,
     make_circle_form,
     make_splitting,
     make_twist,
-    verify_case12_bundle,
-    verify_case12_linearization,
     verify_cocycle,
     verify_splitting,
 )
-from .gaussian import format_rational
+from .gaussian import format_rational, json_rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import MAX_DEG_BOUND, search_conjugator
-from .polymaps import is_involution, o2_relation_check, weight_check
+from .polymaps import is_involution, weight_check
 from .quotient import induced_images, make_invariants, verify_relation
 from . import equivalence
 
@@ -83,9 +79,9 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def parse_r_grid(text: str) -> list[Fraction]:
-    grid = [parse_rational_token(tok) for tok in text.split(",")]
-    if not grid:
+    if not text.strip():
         raise UsageError("empty rescaling grid")
+    grid = [parse_rational_token(tok) for tok in text.split(",")]
     if any(not r for r in grid):
         raise UsageError("rescaling grid entries must be nonzero")
     return grid
@@ -174,7 +170,7 @@ def cmd_verify_certificate(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        r = Fraction(doc["r"])
+        r = json_rational(doc["r"])
         conj = StructuredMatrix.from_json(doc["N"])
     except _LOAD_ERRORS as exc:
         raise UsageError(f"cannot load certificate: {exc}")
@@ -194,7 +190,9 @@ def cmd_classify(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         raw_forms = doc["forms"] if isinstance(doc, dict) else doc
-        forms = [LaurentPoly.from_coeffs([Fraction(c) for c in coeffs])
+        if not isinstance(raw_forms, list) or not all(isinstance(c, list) for c in raw_forms):
+            raise ValueError("forms must be a list of coefficient lists")
+        forms = [LaurentPoly.from_coeffs([json_rational(c) for c in coeffs])
                  for coeffs in raw_forms]
     except _LOAD_ERRORS as exc:
         raise UsageError(f"cannot load forms: {exc}")
@@ -213,7 +211,7 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--deg must be an integer from 0 to {MAX_DEG_BOUND}")
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
-    grid = parse_r_grid(args.r_grid) if args.r_grid else [Fraction(1), Fraction(-1)]
+    grid = parse_r_grid(args.r_grid)
     found = search_conjugator(h, h2, m, args.deg, grid)
     payload = [{"r": format_rational(r), "N": conj.to_json()} for r, conj in found]
     lines = [f"{len(found)} verified conjugator(s) at degree <= {args.deg} "
@@ -230,13 +228,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_case12(args) -> int:
-    conj = case12_conjugator()
-    checks = {
-        "linearization": verify_case12_linearization(conj),
-        "bundle_conditions": verify_case12_bundle(),
-        "involution_relations": o2_relation_check(case12_involution(), CASE12_WEIGHTS),
-        "conjugator_not_real": conj.galois() != conj,
-    }
+    checks = case12_checks()
     ok = all(checks.values())
     lines = [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()]
     lines.append("weight-(1,2) circle form linearizes" if ok else "case12 verification FAILED")
@@ -302,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="degree bound for conjugator entries, "
                                 f"0..{MAX_DEG_BOUND} (default 6)")
         if r_grid:
-            p.add_argument("--r-grid", dest="r_grid",
+            p.add_argument("--r-grid", dest="r_grid", default="1,-1",
                            help="comma-separated nonzero rationals (default '1,-1')")
         if out:
             p.add_argument("--out", help="write JSON result to this path")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import FormSpec, _require_real_poly, make_splitting, make_twist
+from .forms import FormSpec, _require_real_poly, make_splitting, make_twist, verify_conjugation
 from .gaussian import Rational, format_rational, rational_odd_root
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
@@ -46,13 +46,17 @@ class InternalConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class DecisionResult:
     equivalent: bool
-    witness_exists_over_reals: bool
     rational_witness: Optional[Rational]
     certificate: Optional[tuple[Rational, StructuredMatrix]]
 
     def __post_init__(self):
         if self.certificate is not None and self.rational_witness is None:
             raise InternalConsistencyError("certificate without a rational witness")
+
+    @property
+    def witness_exists_over_reals(self) -> bool:
+        """A real r exists exactly when the forms are equivalent."""
+        return self.equivalent
 
     def to_json(self) -> dict:
         cert = None
@@ -83,25 +87,25 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
     support = {e for e, _ in c.items()}
     support2 = {e for e, _ in c2.items()}
     if support != support2:
-        return DecisionResult(False, False, None, None)
+        return DecisionResult(False, None, None)
 
     if not support:
         witness = Fraction(1)
         cert = build_certificate(h, h2, m, witness) if with_certificate else None
-        return DecisionResult(True, True, witness, cert)
+        return DecisionResult(True, witness, cert)
 
     pivot = min(support)
     rho = {j: Fraction(c.coeff(j).re) / Fraction(c2.coeff(j).re) for j in support}
     rho_p = rho[pivot]
     for j in support:
         if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
-            return DecisionResult(False, False, None, None)
+            return DecisionResult(False, None, None)
 
     witness = rational_odd_root(rho_p, 2 * pivot + 1)
     cert = None
     if witness is not None and with_certificate:
         cert = build_certificate(h, h2, m, witness)
-    return DecisionResult(True, True, witness, cert)
+    return DecisionResult(True, witness, cert)
 
 
 def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
@@ -140,23 +144,16 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
 
 def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
                        r: Rational, conjugator: StructuredMatrix) -> bool:
-    """Independent re-check of a stored certificate (r, N): N polynomial with
-    det(N) a nonzero constant and N * M_h = M_h'' * gamma(N).  Because
-    det(gamma N) = conj(det N) is then a nonzero constant too, the equation is
-    the same condition as N * M_h * (gamma N)^-1 = M_h''."""
+    """Independent re-check of a stored certificate (r, N): r != 0, N of
+    cross-exponent 2m+1, and verify_conjugation(N, M_h, M_h'')."""
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
     r = Fraction(r)
-    if not r:
+    if not r or conjugator.e != 2 * m + 1:
         return False
-    if not conjugator.in_lambda():
-        return False
-    h_target = h2.apply_scaling(r)
     src = make_twist(FormSpec(m, h))
-    dst = make_twist(FormSpec(m, h_target))
-    if conjugator.e != src.e:
-        return False
-    return conjugator * src == dst * conjugator.galois()
+    dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
+    return verify_conjugation(conjugator, src, dst)
 
 
 def case_m2_conditions(c0: Rational, c1: Rational,

@@ -17,10 +17,14 @@ j up to m-1 (bottom left, inside the T^-m factor) and up to m (bottom right).
 Any other reading breaks det(K_h) = 1, which is checked symbolically in the
 tests over a grid of (m, h).
 
+Two real forms are compared through one relation: a conjugator N in the
+polynomial group Lambda with N * M = M' * gamma(N) (verify_conjugation).
+
 The weight-(1,2) case uses cross-exponent 4 and has its own fixed matrices:
 a twist that defines a nontrivial orthogonal bundle involution, and an exact
 conjugator with non-real coefficients that linearizes the associated circle
-form.
+form, which is the relation above with M = I.  case12_checks is the one list
+of its checks.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import PolyMap, RealStructureMap, compose, expand
+from .polymaps import PolyMap, RealStructureMap, compose, expand, o2_relation_check
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -110,6 +114,15 @@ def verify_splitting(twist: StructuredMatrix, splitting: StructuredMatrix) -> bo
     return splitting.det() == LaurentPoly.one() and splitting == twist * splitting.galois()
 
 
+def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
+                       m_dst: StructuredMatrix) -> bool:
+    """Exact check that candidate N lies in the polynomial group and
+    N * M_src = M_dst * gamma(N).  With det(N) a nonzero constant so is
+    det(gamma N) = conj(det N), and the equation is the same condition as
+    N * M_src * (gamma N)^-1 = M_dst."""
+    return candidate.in_lambda() and candidate * m_src == m_dst * candidate.galois()
+
+
 def tau0_map() -> PolyMap:
     """The holomorphic swap (a, b, x, y) -> (b, a, y, x)."""
     return PolyMap.coordinate_swap()
@@ -170,23 +183,29 @@ def case12_conjugator() -> StructuredMatrix:
     return StructuredMatrix(CASE12_CROSS_EXPONENT, p, q, s, r)
 
 
-def case12_involution() -> PolyMap:
+def case12_involution(twist: StructuredMatrix) -> PolyMap:
     """tau = phi o tau0 for the weight-(1,2) twist; an involution inverting
     the torus, which is the orthogonal-bundle structure condition."""
-    return expand(case12_twist()).compose(tau0_map())
+    return expand(twist).compose(tau0_map())
 
 
-def verify_case12_bundle() -> bool:
+def verify_case12_bundle(twist: StructuredMatrix) -> bool:
     """The twist composes with its holomorphic swap-twin to the identity,
     so tau above squares to the identity."""
-    phi = case12_twist()
-    swap, ident = phi.s_twist(), StructuredMatrix.identity(phi.e)
-    return phi * swap == ident and swap * phi == ident
+    swap, ident = twist.s_twist(), StructuredMatrix.identity(twist.e)
+    return twist * swap == ident and swap * twist == ident
 
 
-def verify_case12_linearization(conjugator: StructuredMatrix) -> bool:
-    """The non-real conjugator N (case12_conjugator()) splits the weight-(1,2)
-    twist: N is polynomial with det(N) a nonzero constant, and
-    N = Phi * gamma(N).  Since gamma(N) then has a nonzero constant
-    determinant too, the second is N * (gamma N)^-1 = Phi."""
-    return conjugator.in_lambda() and conjugator == case12_twist() * conjugator.galois()
+def case12_checks() -> dict[str, bool]:
+    """Every weight-(1,2) check, in display order.  The stored conjugator N
+    linearizes the form (N * I = Phi * gamma(N) with N in Lambda) and is not
+    real; the twist Phi satisfies the bundle conditions and its involution
+    the O(2) relations.  Each matrix is built once."""
+    twist = case12_twist()
+    conj = case12_conjugator()
+    return {
+        "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
+        "bundle_conditions": verify_case12_bundle(twist),
+        "involution_relations": o2_relation_check(case12_involution(twist), CASE12_WEIGHTS),
+        "conjugator_not_real": conj.galois() != conj,
+    }

@@ -21,6 +21,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def json_rational(value) -> Fraction:
+    """Read a rational from JSON: its text form or a JSON integer.  Floats are
+    refused (0.1 has no exact value), and so are bools and everything else."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if type(value) is not int:
+        raise ValueError(f"a JSON rational must be a string or an integer: {value!r}")
+    return Fraction(value)
+
+
 def format_rational(q: RationalLike) -> str:
     """Render a rational as "num/den", omitting the denominator when 1."""
     q = Fraction(q)
@@ -211,4 +221,4 @@ class GaussianRational:
     def from_json(cls, obj) -> "GaussianRational":
         if not isinstance(obj, dict) or "re" not in obj:
             raise ValueError(f"not a Gaussian rational object: {obj!r}")
-        return cls(parse_rational(obj["re"]), parse_rational(obj.get("im", "0")))
+        return cls(json_rational(obj["re"]), json_rational(obj.get("im", 0)))

@@ -288,8 +288,10 @@ class LaurentPoly(SparsePoly):
         if isinstance(obj, list):
             return cls.from_coeffs([GaussianRational.from_json(c) for c in obj])
         if isinstance(obj, dict) and "valuation" in obj and "coeffs" in obj:
+            if type(obj["valuation"]) is not int:
+                raise ValueError(f"valuation must be a JSON integer: {obj['valuation']!r}")
             coeffs = [GaussianRational.from_json(c) for c in obj["coeffs"]]
-            return cls.from_coeffs(coeffs, valuation=int(obj["valuation"]))
+            return cls.from_coeffs(coeffs, valuation=obj["valuation"])
         raise ValueError(f"not a Laurent polynomial object: {obj!r}")
 
 

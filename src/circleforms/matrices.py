@@ -122,8 +122,10 @@ class StructuredMatrix:
         if not isinstance(obj, dict):
             raise ValueError(f"not a structured matrix object: {obj!r}")
         try:
+            if type(obj["e"]) is not int:
+                raise ValueError(f"cross-exponent e must be a JSON integer: {obj['e']!r}")
             return cls(
-                int(obj["e"]),
+                obj["e"],
                 LaurentPoly.from_json(obj["P"]),
                 LaurentPoly.from_json(obj["Q"]),
                 LaurentPoly.from_json(obj["S"]),

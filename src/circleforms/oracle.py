@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .forms import FormSpec, make_twist
+from .forms import FormSpec, make_twist, verify_conjugation
 from .gaussian import GaussianRational, Rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
@@ -191,39 +191,21 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     return LinearSystem(rows=rows, labels=labels)
 
 
-def _vector_to_entries(vec: Sequence[Fraction], deg_bound: int) -> list[dict[int, Fraction]]:
-    width = deg_bound + 1
-    out = []
-    for idx in range(4):
-        out.append({j: vec[idx * width + j] for j in range(width) if vec[idx * width + j]})
-    return out
-
-
 def _build_matrix(e: int, re_vec: Optional[Sequence[Fraction]],
                   im_vec: Optional[Sequence[Fraction]], deg_bound: int) -> StructuredMatrix:
-    res = [{} for _ in range(4)]
-    if re_vec is not None:
-        for idx, coeffs in enumerate(_vector_to_entries(re_vec, deg_bound)):
-            for j, c in coeffs.items():
-                res[idx][j] = GaussianRational(c)
-    if im_vec is not None:
-        for idx, coeffs in enumerate(_vector_to_entries(im_vec, deg_bound)):
-            for j, c in coeffs.items():
-                cur = res[idx].get(j, GaussianRational(0))
-                res[idx][j] = GaussianRational(cur.re, c)
-    polys = [LaurentPoly(terms) for terms in res]
+    """The matrix whose coefficients are laid out in re_vec and im_vec as in
+    the conjugation blocks (None for a zero part)."""
+    width = deg_bound + 1
+    polys = []
+    for idx in range(4):
+        terms = {}
+        for j in range(idx * width, (idx + 1) * width):
+            re = 0 if re_vec is None else re_vec[j]
+            im = 0 if im_vec is None else im_vec[j]
+            if re or im:
+                terms[j - idx * width] = GaussianRational(re, im)
+        polys.append(LaurentPoly(terms))
     return StructuredMatrix(e, *polys)
-
-
-def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
-                       m_dst: StructuredMatrix) -> bool:
-    """Exact check that candidate N lies in the polynomial group and
-    N * M_src = M_dst * gamma(N).  With det(N) a nonzero constant so is
-    det(gamma N) = conj(det N), and the equation is the same condition as
-    N * M_src * (gamma N)^-1 = M_dst."""
-    if not candidate.in_lambda():
-        return False
-    return candidate * m_src == m_dst * candidate.galois()
 
 
 IntCandidate = tuple[Optional[list[int]], Optional[list[int]], int]

@@ -32,8 +32,12 @@ class TestParsing:
             parse_poly("")
 
     def test_r_grid(self):
+        assert parse_r_grid("1, -1/2") == [1, Fraction(-1, 2)]
         with pytest.raises(cli.UsageError):
             parse_r_grid("1,0")
+        for blank in ("", "  "):
+            with pytest.raises(cli.UsageError, match="empty rescaling grid"):
+                parse_r_grid(blank)
 
 
 class TestVerifyForm:
@@ -118,21 +122,41 @@ class TestVerifyCertificate:
                            "--hp", "1", "--file", str(tmp_path / "nope.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("field,value", [("r", "1/0"), ("r", "Infinity"), ("e", 3)])
+    @pytest.mark.parametrize("field,value", [("r", "1/0"), ("r", "Infinity"), ("e", 3),
+                                             ("r", 0.1), ("r", True), ("e", 5.0), ("e", "5"),
+                                             ("P", {"re": 1.0}), ("P", {"re": True}),
+                                             ("P", {"re": "1", "im": 0.5}),
+                                             ("valuation", 0.9), ("valuation", "0")])
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path, field, value):
         cert = tmp_path / "cert.json"
         run(capsys, "equiv", "--m", "2", "--h", "1,1", "--hp", "2,8", "--out", str(cert))
         doc = json.loads(cert.read_text())
         if field == "r":
             doc["r"] = value
-        else:
+        elif field == "e":
             doc["N"]["e"] = value
+        elif field == "valuation":
+            doc["N"]["P"] = {"valuation": value, "coeffs": doc["N"]["P"]}
+        else:
+            doc["N"][field][0] = value
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify-certificate", "--m", "2", "--h", "1,1",
                              "--hp", "2,8", "--file", str(cert))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: " if (field, value) == ("e", 3) else "error: cannot load certificate")
+
+    def test_integer_rationals_are_read_exactly(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        run(capsys, "equiv", "--m", "2", "--h", "0", "--hp", "0", "--out", str(cert))
+        doc = json.loads(cert.read_text())
+        assert doc["r"] == "1" and doc["N"]["P"][0] == {"re": "1"}
+        doc["r"] = 1
+        doc["N"]["P"][0] = {"re": 1, "im": 0}
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify-certificate", "--m", "2", "--h", "0",
+                           "--hp", "0", "--file", str(cert))
+        assert (code, out) == (0, "certificate valid\n")
 
 
 class TestClassify:
@@ -158,7 +182,10 @@ class TestClassify:
         assert code == 2
 
     @pytest.mark.parametrize("text", ['{"forms": [["1/0"]]}', '{"forms": [[Infinity]]}',
-                                      "[" * 100000 + "]" * 100000])
+                                      "[" * 100000 + "]" * 100000,
+                                      '{"forms": [[0.1, 1], ["1/10", 1], "12", [1, 2]]}',
+                                      '{"forms": [[0.1, 1]]}', '{"forms": [[true]]}',
+                                      '{"forms": ["12"]}', '{"forms": "12"}', '{"forms": {}}'])
     def test_malformed_forms_are_usage_errors(self, capsys, tmp_path, text):
         path = tmp_path / "forms.json"
         path.write_text(text)
@@ -210,6 +237,21 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert "--deg must be an integer from 0 to 16" in err
+
+    @pytest.mark.parametrize("grid", ["", " "])
+    def test_blank_grid_is_usage_error(self, capsys, monkeypatch, grid):
+        monkeypatch.setattr(cli, "search_conjugator", lambda *args: [])
+        code, out, err = run(capsys, "oracle", "--m", "1", "--h", "0", "--hp", "1",
+                             "--r-grid", grid)
+        assert (code, out, err) == (2, "", "error: empty rescaling grid\n")
+
+    def test_default_grid(self, capsys, monkeypatch):
+        grids = []
+        monkeypatch.setattr(cli, "search_conjugator", lambda *args: grids.append(args[4]) or [])
+        code, out, _ = run(capsys, "oracle", "--m", "1", "--h", "0", "--hp", "1")
+        assert code == 0
+        assert grids == [[1, -1]]
+        assert "over 2 rescaling(s)" in out
 
     def test_degree_cap_admits_its_bound(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "search_conjugator", lambda *args: [])
@@ -287,10 +329,31 @@ class TestBuildsOncePerCall:
         assert len(calls) == 1
 
     def test_case12_builds_the_conjugator_once(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "case12_conjugator", forms, cli)
+        calls = count_calls(monkeypatch, "case12_conjugator", forms)
         code, _, _ = run(capsys, "case12")
         assert code == 0
         assert len(calls) == 1
+
+    def test_case12_builds_the_twist_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "case12_twist", forms)
+        code, _, _ = run(capsys, "case12")
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestCase12SharedChecks:
+    def test_failed_check_fails_cli_and_selftest_criterion(self, capsys, monkeypatch):
+        from circleforms import acceptance
+
+        monkeypatch.setattr(forms, "verify_case12_bundle", lambda twist: False)
+        code, out, _ = run(capsys, "case12")
+        assert code == 1
+        assert "FAIL  bundle_conditions" in out
+        assert "ok  linearization" in out
+        assert out.endswith("case12 verification FAILED\n")
+        passed, detail = acceptance.case12_suite()
+        assert not passed
+        assert "bundle_conditions" in detail
 
 
 class TestSelftest:

@@ -8,6 +8,7 @@ from circleforms import (
     GaussianRational,
     LaurentPoly,
     StructuredMatrix,
+    case12_checks,
     case12_conjugator,
     case12_involution,
     case12_twist,
@@ -19,11 +20,11 @@ from circleforms import (
     make_twist,
     o2_relation_check,
     verify_case12_bundle,
-    verify_case12_linearization,
     verify_cocycle,
     verify_splitting,
     weight_check,
 )
+from circleforms import forms
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
 from reference_paths import base_rescale
@@ -217,14 +218,28 @@ class TestCase12:
         assert swapped.R == one - T
 
     def test_bundle_conditions(self):
-        assert verify_case12_bundle()
+        assert verify_case12_bundle(case12_twist())
         assert verify_cocycle(case12_twist())  # real entries: twist == swap-twin
 
     def test_involution_relations(self):
-        assert o2_relation_check(case12_involution(), CASE12_WEIGHTS)
+        assert o2_relation_check(case12_involution(case12_twist()), CASE12_WEIGHTS)
 
     def test_linearization(self):
-        assert verify_case12_linearization(case12_conjugator())
+        assert case12_checks()["linearization"]
+
+    def test_checks_in_display_order(self):
+        checks = case12_checks()
+        assert list(checks) == ["linearization", "bundle_conditions",
+                                "involution_relations", "conjugator_not_real"]
+        assert all(checks.values())
+
+    def test_zero_conjugator_fails_linearization(self, monkeypatch):
+        # 0 * I = Phi * gamma(0) holds, so only the Lambda check rejects it
+        monkeypatch.setattr(forms, "case12_conjugator",
+                            lambda: StructuredMatrix(4, zero, zero, zero, zero))
+        checks = case12_checks()
+        assert not checks["linearization"]
+        assert checks["bundle_conditions"] and checks["involution_relations"]
 
     def test_conjugator_is_not_real(self):
         conj = case12_conjugator()
