@@ -25,8 +25,8 @@ from .forms import (
     FormSpec,
     case12_checks,
     case12_conjugator,
-    case12_involution,
     case12_twist,
+    family_checks,
     linear_circle_form,
     make_circle_form,
     make_splitting,
@@ -73,7 +73,6 @@ __all__ = [
     "build_certificate",
     "case12_checks",
     "case12_conjugator",
-    "case12_involution",
     "case12_twist",
     "case_m2_conditions",
     "classify",
@@ -82,6 +81,7 @@ __all__ = [
     "decide_equiv",
     "equivalence_key",
     "expand",
+    "family_checks",
     "format_rational",
     "geometric_sum",
     "induced_images",

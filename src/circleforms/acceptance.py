@@ -15,64 +15,30 @@ from fractions import Fraction
 from typing import Callable
 
 from .equivalence import case_m2_conditions, classify, decide_equiv, verify_certificate
-from .forms import (
-    FormSpec,
-    case12_checks,
-    linear_circle_form,
-    make_circle_form,
-    make_splitting,
-    make_twist,
-    twist_automorphism,
-    verify_cocycle,
-    verify_splitting,
-)
+from .forms import FormSpec, case12_checks, family_checks, linear_circle_form, twist_automorphism
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import search_conjugator
-from .polymaps import RealStructureMap, compose, expand, is_involution, weight_check
+from .polymaps import RealStructureMap, compose, expand
 from .quotient import verify_relation
 
 GRID_VALUES = (-2, -1, 0, 1, 2)
 GRID_MS = (1, 2, 3)
 
 
-def _family_grid():
+def twist_family_suite() -> tuple[bool, str]:
+    """Every (m, h) in the coefficient grid passes family_checks: M_h is a
+    unit-determinant cocycle split by K_h, and mu_h is a weight-graded
+    involution."""
+    cases = 0
     for m in GRID_MS:
         for coeffs in itertools.product(GRID_VALUES, repeat=4):
-            yield m, LaurentPoly.from_coeffs(coeffs)
-
-
-def twist_family_suite() -> tuple[bool, str]:
-    """Every twist in the coefficient grid is a unit-determinant cocycle and
-    the induced real structure is a weight-compatible involution."""
-    cases = 0
-    one = LaurentPoly.one()
-    for m, h in _family_grid():
-        spec = FormSpec(m, h)
-        twist = make_twist(spec)
-        if twist.det() != one:
-            return False, f"det != 1 at m={m}, h={h}"
-        if not verify_cocycle(twist):
-            return False, f"cocycle fails at m={m}, h={h}"
-        mu = make_circle_form(twist)
-        if not is_involution(mu):
-            return False, f"mu not an involution at m={m}, h={h}"
-        if not weight_check(mu.map, spec.weights(), -1):
-            return False, f"weight grading fails at m={m}, h={h}"
-        cases += 1
-    return True, f"{cases} (m, h) cases exact"
-
-
-def splitting_suite() -> tuple[bool, str]:
-    """verify_splitting (det(K_h) = 1 and K_h = M_h * gamma(K_h)) over the
-    same grid."""
-    cases = 0
-    for m, h in _family_grid():
-        spec = FormSpec(m, h)
-        if not verify_splitting(make_twist(spec), make_splitting(spec)):
-            return False, f"splitting fails at m={m}, h={h}"
-        cases += 1
+            h = LaurentPoly.from_coeffs(coeffs)
+            failed = [name for name, ok in family_checks(FormSpec(m, h)).items() if not ok]
+            if failed:
+                return False, f"failed at m={m}, h={h}: " + ", ".join(failed)
+            cases += 1
     return True, f"{cases} (m, h) cases exact"
 
 
@@ -263,10 +229,8 @@ def representation_coherence() -> tuple[bool, str]:
 Criterion = tuple[str, str, Callable[[], tuple[bool, str]]]
 
 CRITERIA: list[Criterion] = [
-    ("twist-family", "unit-det cocycles and weight-graded involutions on the full grid",
+    ("twist-family", "split unit-det cocycles and weight-graded involutions on the full grid",
      twist_family_suite),
-    ("splitting", "open-locus splitting matrices trivialize every twist on the grid",
-     splitting_suite),
     ("linear-vs-twisted", "smallest inequivalent pair: decision and empty search agree",
      linear_vs_twisted),
     ("m2-conditions", "four-case m=2 transcription matches the decision on a full grid",

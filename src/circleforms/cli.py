@@ -4,15 +4,19 @@ Subcommands: verify-form, equiv, verify-certificate, classify, oracle,
 case12, quotient, selftest.  Exit codes are a stable contract: 0 for
 success or a positive verdict, 1 for a verified negative (inequivalent,
 check failed, certificate invalid), 2 for usage errors, 3 for internal
-errors.  Usage errors are caught before any kernel computation runs (an
-unwritable --out path is the one found afterwards).  Any other exception is
-a bug: it is reported as "internal error:" with its traceback on stderr, so
-it can never be mistaken for a verdict or for bad input.
+errors.  Usage errors are caught before any kernel computation runs, with
+two found afterwards: an unwritable --out path, and a result holding a
+rational longer than sys.get_int_max_str_digits() digits, which is refused
+before anything is printed or written.  Any other exception is a bug: it is
+reported as "internal error:" with its traceback on stderr, so it can never
+be mistaken for a verdict or for bad input.
 
 Polynomials are entered as ascending comma-separated rational coefficient
-lists ("2,8" is 2 + 8T).  JSON schemas are documented in the README; all
-JSON output is canonical (sorted keys, compact separators), so re-serializing
-a parsed document reproduces it byte for byte.
+lists ("2,8" is 2 + 8T); a numerator or denominator longer than
+sys.get_int_max_str_digits() digits is refused.  JSON schemas are
+documented in the README; all JSON output is canonical (sorted keys,
+compact separators), so re-serializing a parsed document reproduces it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -25,21 +29,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .equivalence import decide_equiv, verify_certificate
-from .forms import (
-    FormSpec,
-    case12_checks,
-    linear_circle_form,
-    make_circle_form,
-    make_splitting,
-    make_twist,
-    verify_cocycle,
-    verify_splitting,
-)
-from .gaussian import format_rational, json_rational
+from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
+from .gaussian import DigitLimitError, format_rational, json_rational, parse_rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import MAX_DEG_BOUND, search_conjugator
-from .polymaps import is_involution, weight_check
 from .quotient import induced_images, make_invariants, verify_relation
 from . import equivalence
 
@@ -63,7 +57,9 @@ _GAUSSIAN_TOKEN = re.compile(r"^[0-9+/\- ]*i[0-9+/\- ]*$")
 def parse_rational_token(token: str) -> Fraction:
     token = token.strip()
     try:
-        return Fraction(token)
+        return parse_rational(token)
+    except OverflowError as exc:
+        raise UsageError(f"rational coefficient too long: {exc}")
     except (ValueError, ZeroDivisionError):
         if _GAUSSIAN_TOKEN.match(token):
             raise UsageError(f"non-real coefficient not allowed here: {token!r}")
@@ -119,16 +115,7 @@ def _emit(args, human_lines: Sequence[str], payload) -> None:
 def cmd_verify_form(args) -> int:
     m = _require_m(args.m)
     h = parse_poly(args.h)
-    spec = FormSpec(m, h)
-    twist = make_twist(spec)
-    mu = make_circle_form(twist)
-    checks = {
-        "det_is_one": twist.det() == LaurentPoly.one(),
-        "cocycle": verify_cocycle(twist),
-        "splitting": verify_splitting(twist, make_splitting(spec)),
-        "involution": is_involution(mu),
-        "weight_grading": weight_check(mu.map, spec.weights(), -1),
-    }
+    checks = family_checks(FormSpec(m, h))
     ok = all(checks.values())
     lines = [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()]
     lines.append(f"verdict: {'real circle form verified' if ok else 'verification FAILED'}")
@@ -326,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -17,6 +17,10 @@ j up to m-1 (bottom left, inside the T^-m factor) and up to m (bottom right).
 Any other reading breaks det(K_h) = 1, which is checked symbolically in the
 tests over a grid of (m, h).
 
+family_checks is the one list of the checks that make mu_h a real circle
+form: det M_h = 1, M_h * gamma(M_h) = I, K_h = M_h * gamma(K_h), mu_h^2 = id
+and the weight grading.
+
 Two real forms are compared through one relation: a conjugator N in the
 polynomial group Lambda with N * M = M' * gamma(N) (verify_conjugation).
 
@@ -35,7 +39,8 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import PolyMap, RealStructureMap, compose, expand, o2_relation_check
+from .polymaps import (PolyMap, RealStructureMap, compose, expand, is_involution,
+                       o2_relation_check, weight_check)
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -143,6 +148,22 @@ def make_circle_form(twist: StructuredMatrix) -> RealStructureMap:
     return compose(twist_automorphism(twist), linear_circle_form())
 
 
+def family_checks(spec: FormSpec) -> dict[str, bool]:
+    """Every check that mu_h is a real circle form, in display order: det M_h
+    = 1, the cocycle M_h * gamma(M_h) = I, the splitting K_h = M_h *
+    gamma(K_h), mu_h^2 = id and the weight grading.  M_h, K_h and mu_h are
+    each built once."""
+    twist = make_twist(spec)
+    mu = make_circle_form(twist)
+    return {
+        "det_is_one": twist.det() == LaurentPoly.one(),
+        "cocycle": verify_cocycle(twist),
+        "splitting": verify_splitting(twist, make_splitting(spec)),
+        "involution": is_involution(mu),
+        "weight_grading": weight_check(mu.map, spec.weights(), -1),
+    }
+
+
 CASE12_WEIGHTS = (1, -1, 2, -2)
 CASE12_CROSS_EXPONENT = 4
 
@@ -183,15 +204,9 @@ def case12_conjugator() -> StructuredMatrix:
     return StructuredMatrix(CASE12_CROSS_EXPONENT, p, q, s, r)
 
 
-def case12_involution(twist: StructuredMatrix) -> PolyMap:
-    """tau = phi o tau0 for the weight-(1,2) twist; an involution inverting
-    the torus, which is the orthogonal-bundle structure condition."""
-    return expand(twist).compose(tau0_map())
-
-
 def verify_case12_bundle(twist: StructuredMatrix) -> bool:
     """The twist composes with its holomorphic swap-twin to the identity,
-    so tau above squares to the identity."""
+    so tau = phi o tau0 squares to the identity."""
     swap, ident = twist.s_twist(), StructuredMatrix.identity(twist.e)
     return twist * swap == ident and swap * twist == ident
 
@@ -199,13 +214,14 @@ def verify_case12_bundle(twist: StructuredMatrix) -> bool:
 def case12_checks() -> dict[str, bool]:
     """Every weight-(1,2) check, in display order.  The stored conjugator N
     linearizes the form (N * I = Phi * gamma(N) with N in Lambda) and is not
-    real; the twist Phi satisfies the bundle conditions and its involution
-    the O(2) relations.  Each matrix is built once."""
+    real; the twist Phi satisfies the bundle conditions, and tau = phi o tau0,
+    the map of make_circle_form(Phi), the O(2) relations.  Each matrix is
+    built once."""
     twist = case12_twist()
     conj = case12_conjugator()
     return {
         "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
         "bundle_conditions": verify_case12_bundle(twist),
-        "involution_relations": o2_relation_check(case12_involution(twist), CASE12_WEIGHTS),
+        "involution_relations": o2_relation_check(make_circle_form(twist).map, CASE12_WEIGHTS),
         "conjugator_not_real": conj.galois() != conj,
     }

@@ -4,10 +4,17 @@ Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical:
 positive denominator, reduced, zero as 0/1).  ``GaussianRational`` layers the
 imaginary unit on top and is the coefficient field for every symbolic
 computation in this package.  No floating point anywhere.
+
+parse_rational is the one reader of the text form of a rational (command
+line and JSON) and format_rational the one writer.  Both refuse a numerator
+or denominator longer than sys.get_int_max_str_digits() digits: the reader
+before the value is computed, the writer with DigitLimitError.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -15,10 +22,53 @@ Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
+# The text forms fractions.Fraction reads: a sign, then digits over an
+# optional denominator, or a decimal with an optional exponent.
+_RATIONAL_TEXT = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*""", re.VERBOSE)
+
+
+def _exponent(text: Optional[str]) -> int:
+    """The value of an exponent, capped at 10**18 in size: any larger one
+    makes a numerator or denominator too long, and is not converted."""
+    if not text:
+        return 0
+    digits = text.lstrip("+-").replace("_", "").lstrip("0")
+    size = int(digits) if len(digits) <= 18 else 10 ** 18
+    return -size if text[0] == "-" else size
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form of a rational: "-3/4", "7", "0"."""
-    return Fraction(text.strip())
+    """Parse the text form of a rational: "-3/4", "7", "0", "1.5", "1e3".
+
+    A numerator or denominator longer than sys.get_int_max_str_digits()
+    digits, as written and before reduction, raises OverflowError before its
+    value is computed; text that is not a rational raises ValueError."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid literal for a rational: {text!r}")
+    num = match["num"].replace("_", "")
+    if match["den"] is not None:
+        den = match["den"].replace("_", "")
+        shift = 0
+    else:
+        dec = (match["dec"] or "").replace("_", "")
+        num, den = num + dec, "1"
+        shift = _exponent(match["exp"]) - len(dec)
+    # the default limit stands in when it is switched off: no input may cost unbounded time
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if max(len(num) + shift, len(den) - shift) > limit:
+        raise OverflowError(f"a numerator or denominator has more than {limit} digits, "
+                            "the int/str conversion limit (sys.get_int_max_str_digits())")
+    n, d = int(num or "0"), int(den)
+    if shift >= 0:
+        n *= 10 ** shift
+    else:
+        d *= 10 ** -shift
+    return Fraction(-n if match["sign"] == "-" else n, d)
 
 
 def json_rational(value) -> Fraction:
@@ -31,12 +81,22 @@ def json_rational(value) -> Fraction:
     return Fraction(value)
 
 
+class DigitLimitError(ValueError):
+    """Raised by format_rational alone: the rational has a numerator or
+    denominator longer than sys.get_int_max_str_digits() allows to print."""
+
+
 def format_rational(q: RationalLike) -> str:
     """Render a rational as "num/den", omitting the denominator when 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DigitLimitError(
+            f"a rational in the result has more than {sys.get_int_max_str_digits()} digits, "
+            "the int/str conversion limit (sys.get_int_max_str_digits())") from None
 
 
 def integer_kth_root(n: int, k: int) -> Optional[int]:

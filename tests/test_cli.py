@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -323,7 +325,7 @@ def count_calls(monkeypatch, name, *modules):
 class TestBuildsOncePerCall:
     @pytest.mark.parametrize("m,h", [("1", "1"), ("2", "1,1"), ("3", "0,2,-1")])
     def test_verify_form_builds_the_twist_once(self, capsys, monkeypatch, m, h):
-        calls = count_calls(monkeypatch, "make_twist", forms, cli)
+        calls = count_calls(monkeypatch, "make_twist", forms)
         code, _, _ = run(capsys, "verify-form", "--m", m, "--h", h)
         assert code == 0
         assert len(calls) == 1
@@ -339,6 +341,69 @@ class TestBuildsOncePerCall:
         code, _, _ = run(capsys, "case12")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestFamilySharedChecks:
+    def test_verify_form_shows_family_checks_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify-form", "--m", "2", "--h", "1,1")
+        assert code == 0
+        shown = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert shown == list(forms.family_checks(forms.FormSpec(2, parse_poly("1,1"))))
+
+    def test_failed_check_fails_cli_and_selftest_criterion(self, capsys, monkeypatch):
+        from circleforms import acceptance
+
+        monkeypatch.setattr(forms, "verify_splitting", lambda twist, splitting: False)
+        code, out, _ = run(capsys, "verify-form", "--m", "1", "--h", "1")
+        assert code == 1
+        assert "FAIL  splitting" in out
+        assert "ok  cocycle" in out
+        assert out.endswith("verdict: verification FAILED\n")
+        passed, detail = acceptance.twist_family_suite()
+        assert not passed
+        assert detail.startswith("failed at m=1, h=")
+        assert detail.endswith(": splitting")
+
+
+class TestDigitLimit:
+    """Rationals longer than the int/str conversion limit are refused with
+    exit 2, on input before they are computed and on output before anything
+    is printed or written."""
+
+    LIMIT = str(sys.get_int_max_str_digits())
+
+    @pytest.mark.parametrize("value", ["1e5000", "1e999999999"])
+    def test_long_h_refused_at_once(self, capsys, value):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-form", "--m", "1", "--h", f"1,{value}")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rational coefficient too long") and self.LIMIT in err
+
+    @pytest.mark.parametrize("value", ["1e5000", "1e999999999"])
+    def test_long_classify_coefficient_refused_at_once(self, capsys, tmp_path, value):
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps({"forms": [["1"], ["1", value]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--m", "2", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load forms") and self.LIMIT in err
+
+    def test_exponent_form_reads_exactly(self):
+        assert parse_poly("1e3,-25e-1") == LaurentPoly.from_coeffs([1000, Fraction(-5, 2)])
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--out", "cert.json"]])
+    def test_result_too_long_to_print_is_refused(self, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        h = "1,0," + "9" * 1200  # the certificate holds powers of h beyond the limit
+        code, out, err = run(capsys, "equiv", "--m", "2", "--h", h, "--hp", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a rational in the result has more than " + self.LIMIT)
+        assert not (tmp_path / "cert.json").exists()
 
 
 class TestCase12SharedChecks:

@@ -10,9 +10,9 @@ from circleforms import (
     StructuredMatrix,
     case12_checks,
     case12_conjugator,
-    case12_involution,
     case12_twist,
     expand,
+    family_checks,
     is_involution,
     linear_circle_form,
     make_circle_form,
@@ -25,7 +25,7 @@ from circleforms import (
     weight_check,
 )
 from circleforms import forms
-from circleforms.forms import CASE12_WEIGHTS, splitting_entries
+from circleforms.forms import CASE12_WEIGHTS, splitting_entries, tau0_map
 
 from reference_paths import base_rescale
 
@@ -188,6 +188,12 @@ class TestCircleForms:
             assert is_involution(mu)
             assert weight_check(mu.map, spec.weights(), -1)
 
+    def test_family_checks_in_display_order(self):
+        checks = family_checks(FormSpec(2, LaurentPoly.from_coeffs([1, -1])))
+        assert list(checks) == ["det_is_one", "cocycle", "splitting", "involution",
+                                "weight_grading"]
+        assert all(checks.values())
+
     def test_coherence_with_matrix_route(self):
         # the expanded route and the matrix cocycle agree on involutivity
         spec = FormSpec(2, LaurentPoly.from_coeffs([1, 1]))
@@ -222,7 +228,10 @@ class TestCase12:
         assert verify_cocycle(case12_twist())  # real entries: twist == swap-twin
 
     def test_involution_relations(self):
-        assert o2_relation_check(case12_involution(case12_twist()), CASE12_WEIGHTS)
+        twist = case12_twist()
+        tau = make_circle_form(twist).map
+        assert tau == expand(twist).compose(tau0_map())
+        assert o2_relation_check(tau, CASE12_WEIGHTS)
 
     def test_linearization(self):
         assert case12_checks()["linearization"]

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circleforms import GaussianRational, format_rational, parse_rational, rational_odd_root
-from circleforms.gaussian import integer_kth_root
+from circleforms.gaussian import DigitLimitError, integer_kth_root
 
 from strategies import gaussians, nonzero_gaussians, rationals
 
@@ -114,6 +115,45 @@ class TestText:
     @pytest.mark.parametrize("text", ["-3/4", "7", "0", "1/2"])
     def test_rational_round_trip(self, text):
         assert format_rational(parse_rational(text)) == text
+
+    @given(sign=st.sampled_from(["", "-", "+"]), num=st.from_regex(r"[0-9]{0,4}", fullmatch=True),
+           tail=st.sampled_from(["", "/7", "/0", "/1_0", ".", ".5", ".25", ".0_1", "e3", "E-2",
+                                 ".5e+1", "e", "/", "/-2", "x"]),
+           pad=st.sampled_from(["", " ", "\t"]))
+    def test_parse_agrees_with_fraction(self, sign, num, tail, pad):
+        text = pad + sign + num + tail + pad
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected
+
+    def test_parse_refuses_beyond_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational("9" * limit) == 10 ** limit - 1
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        for text in ["9" * (limit + 1), "1/" + "9" * (limit + 1), f"1e{limit}",
+                     f"1e-{limit}", "0." + "0" * limit, "1e" + "9" * (limit + 1)]:
+            with pytest.raises(OverflowError, match=str(limit)):
+                parse_rational(text)
+
+    def test_parse_stays_bounded_with_the_limit_switched_off(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(OverflowError):
+                parse_rational("1e999999999")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_format_refuses_beyond_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert format_rational(Fraction(1, 10 ** (limit - 1))) == "1/1" + "0" * (limit - 1)
+        for q in (10 ** limit, Fraction(1, 10 ** limit)):
+            with pytest.raises(DigitLimitError, match=str(limit)):
+                format_rational(q)
 
     def test_json_omits_zero_im(self):
         assert GaussianRational(Fraction(1, 2)).to_json() == {"re": "1/2"}
