@@ -18,7 +18,6 @@ from .polymaps import (
     compose,
     expand,
     is_involution,
-    o2_relation_check,
     weight_check,
 )
 from .forms import (
@@ -52,7 +51,7 @@ from .oracle import (
     nullspace,
     search_conjugator,
 )
-from .quotient import InducedImages, InvariantTuple, induced_images, make_invariants, verify_relation
+from .quotient import InducedImages, induced_images, make_invariants, verify_relation
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "GaussianRational",
     "InducedImages",
     "InternalConsistencyError",
-    "InvariantTuple",
     "LaurentPoly",
     "LinearSystem",
     "MultiPoly",
@@ -92,7 +90,6 @@ __all__ = [
     "make_splitting",
     "make_twist",
     "nullspace",
-    "o2_relation_check",
     "parse_rational",
     "rational_odd_root",
     "search_conjugator",

@@ -128,7 +128,9 @@ def cmd_equiv(args) -> int:
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
     result = decide_equiv(h, h2, m)
-    payload = result.to_json()
+    # Formatted only when printed: a certificate too long to print is refused,
+    # and text mode does not print it.
+    payload = result.to_json() if args.json else None
     lines = []
     if result.equivalent:
         if result.rational_witness is not None:
@@ -139,8 +141,7 @@ def cmd_equiv(args) -> int:
         lines.append("inequivalent")
     if args.out:
         if result.certificate is not None:
-            r, conj = result.certificate
-            _write_json(args.out, {"r": format_rational(r), "N": conj.to_json()})
+            _write_json(args.out, result.certificate_json())
             lines.append(f"certificate written to {args.out}")
         else:
             lines.append("no certificate to write (no rational witness)")
@@ -231,7 +232,7 @@ def cmd_quotient(args) -> int:
     induced = induced_images(mu0, m)
     names = ("T", "W", "U", "V")
     lines = [f"relation U*V - T^n*W^2 = 0: {'ok' if relation else 'FAIL'}"]
-    for name, gen in zip(names, gens.as_tuple()):
+    for name, gen in zip(names, gens):
         lines.append(f"  {name} = {gen}")
     lines.append("images under the linear circle form (polynomial part):")
     for name, img, expr in zip(names, induced.images, induced.expressible):

@@ -58,11 +58,15 @@ class DecisionResult:
         """A real r exists exactly when the forms are equivalent."""
         return self.equivalent
 
+    def certificate_json(self) -> Optional[dict]:
+        """The certificate as the document `equiv --out` writes and
+        `verify-certificate` reads, or None without one."""
+        if self.certificate is None:
+            return None
+        r, n = self.certificate
+        return {"r": format_rational(r), "N": n.to_json()}
+
     def to_json(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            r, n = self.certificate
-            cert = {"r": format_rational(r), "N": n.to_json()}
         witness = None
         if self.rational_witness is not None:
             witness = format_rational(self.rational_witness)
@@ -70,7 +74,7 @@ class DecisionResult:
             "equivalent": self.equivalent,
             "witness_exists_over_reals": self.witness_exists_over_reals,
             "rational_witness": witness,
-            "certificate": cert,
+            "certificate": self.certificate_json(),
         }
 
 

@@ -24,11 +24,12 @@ and the weight grading.
 Two real forms are compared through one relation: a conjugator N in the
 polynomial group Lambda with N * M = M' * gamma(N) (verify_conjugation).
 
-The weight-(1,2) case uses cross-exponent 4 and has its own fixed matrices:
-a twist that defines a nontrivial orthogonal bundle involution, and an exact
-conjugator with non-real coefficients that linearizes the associated circle
-form, which is the relation above with M = I.  case12_checks is the one list
-of its checks.
+The weight-(1,2) case uses cross-exponent 4.  Its twist is the family twist
+formula at n = 4 and h = 1, which defines a nontrivial orthogonal bundle
+involution; its exact conjugator with non-real coefficients linearizes the
+associated circle form, which is the relation above with M = I.
+case12_checks is the one list of its checks, and it reuses the family's
+involution and weight-grading checks for the circle form.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import (PolyMap, RealStructureMap, compose, expand, is_involution,
-                       o2_relation_check, weight_check)
+from .polymaps import PolyMap, RealStructureMap, compose, expand, is_involution, weight_check
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -73,10 +73,9 @@ class FormSpec:
         return (2, -2, self.n, -self.n)
 
 
-def make_twist(spec: FormSpec) -> StructuredMatrix:
-    """The family matrix M_h (cross-exponent n, polynomial entries, det 1)."""
-    n = spec.n
-    h = spec.h
+def _twist(n: int, h: LaurentPoly) -> StructuredMatrix:
+    """The twist formula at cross-exponent n: (1 - T*h^2, a^n h^n; -b^n h^n,
+    sum_{j<n} (T*h^2)^j)."""
     th2 = LaurentPoly.variable() * h * h
     hn = h ** n
     return StructuredMatrix(
@@ -86,6 +85,11 @@ def make_twist(spec: FormSpec) -> StructuredMatrix:
         -hn,
         geometric_sum(th2, n),
     )
+
+
+def make_twist(spec: FormSpec) -> StructuredMatrix:
+    """The family matrix M_h (cross-exponent n, polynomial entries, det 1)."""
+    return _twist(spec.n, spec.h)
 
 
 def splitting_entries(spec: FormSpec) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -128,14 +132,9 @@ def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
     return candidate.in_lambda() and candidate * m_src == m_dst * candidate.galois()
 
 
-def tau0_map() -> PolyMap:
-    """The holomorphic swap (a, b, x, y) -> (b, a, y, x)."""
-    return PolyMap.coordinate_swap()
-
-
 def linear_circle_form() -> RealStructureMap:
     """mu_0: coordinate swap composed with conjugation; the linear circle form."""
-    return RealStructureMap(tau0_map(), conjugates_input=True)
+    return RealStructureMap(PolyMap.coordinate_swap(), conjugates_input=True)
 
 
 def twist_automorphism(matrix: StructuredMatrix) -> RealStructureMap:
@@ -160,7 +159,7 @@ def family_checks(spec: FormSpec) -> dict[str, bool]:
         "cocycle": verify_cocycle(twist),
         "splitting": verify_splitting(twist, make_splitting(spec)),
         "involution": is_involution(mu),
-        "weight_grading": weight_check(mu.map, spec.weights(), -1),
+        "weight_grading": weight_check(mu.map, spec.weights()),
     }
 
 
@@ -169,15 +168,9 @@ CASE12_CROSS_EXPONENT = 4
 
 
 def case12_twist() -> StructuredMatrix:
-    """The weight-(1,2) bundle twist: (1-T, a^4; -b^4, 1+T+T^2+T^3)."""
-    T = LaurentPoly.variable()
-    return StructuredMatrix(
-        CASE12_CROSS_EXPONENT,
-        LaurentPoly.one() - T,
-        LaurentPoly.one(),
-        -LaurentPoly.one(),
-        LaurentPoly.from_coeffs([1, 1, 1, 1]),
-    )
+    """The weight-(1,2) bundle twist (1-T, a^4; -b^4, 1+T+T^2+T^3): the
+    family twist formula at cross-exponent 4 with h = 1."""
+    return _twist(CASE12_CROSS_EXPONENT, LaurentPoly.one())
 
 
 def case12_conjugator() -> StructuredMatrix:
@@ -214,14 +207,15 @@ def verify_case12_bundle(twist: StructuredMatrix) -> bool:
 def case12_checks() -> dict[str, bool]:
     """Every weight-(1,2) check, in display order.  The stored conjugator N
     linearizes the form (N * I = Phi * gamma(N) with N in Lambda) and is not
-    real; the twist Phi satisfies the bundle conditions, and tau = phi o tau0,
-    the map of make_circle_form(Phi), the O(2) relations.  Each matrix is
-    built once."""
+    real; the twist Phi satisfies the bundle conditions; and its circle form
+    mu = make_circle_form(Phi) passes the two checks family_checks applies to
+    mu_h, is_involution and weight_check.  Each matrix is built once."""
     twist = case12_twist()
     conj = case12_conjugator()
+    mu = make_circle_form(twist)
     return {
         "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
         "bundle_conditions": verify_case12_bundle(twist),
-        "involution_relations": o2_relation_check(make_circle_form(twist).map, CASE12_WEIGHTS),
+        "involution_relations": is_involution(mu) and weight_check(mu.map, CASE12_WEIGHTS),
         "conjugator_not_real": conj.galois() != conj,
     }

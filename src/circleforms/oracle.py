@@ -130,14 +130,16 @@ def nullspace(system: LinearSystem) -> list[list[Fraction]]:
 
 
 def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
-                       deg_bound: int, sign: int,
-                       component: str) -> LinearSystem:
+                       deg_bound: int, sign: int) -> LinearSystem:
     """Equations for X * M_src = sign * M_dst * swap(X) with X a real
-    polynomial structured matrix of entry degree <= deg_bound.  Both sides
-    are scaled by one common denominator of the coefficients of M_src and
-    M_dst, so the rows are integers and the kernel is unchanged."""
+    polynomial structured matrix of entry degree <= deg_bound: sign +1 is
+    the system of the real part of a conjugator, -1 that of its imaginary
+    part.  Both sides are scaled by one common denominator of the
+    coefficients of M_src and M_dst, so the rows are integers and the
+    kernel is unchanged."""
     e = m_src.e
     width = deg_bound + 1
+    component = "re" if sign > 0 else "im"
     labels: list[VarLabel] = [(entry, j, component) for entry in ENTRIES for j in range(width)]
     var = {(entry, j): ENTRIES.index(entry) * width + j for entry in ENTRIES for j in range(width)}
 
@@ -302,8 +304,8 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
         raise ValueError("cross-exponent mismatch")
     e = m_src.e
     width = deg_bound + 1
-    re_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, +1, "re"))
-    im_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, -1, "im"))
+    re_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, +1))
+    im_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, -1))
 
     found = []
     seen = set()

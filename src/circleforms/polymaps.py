@@ -132,13 +132,6 @@ class PolyMap:
     def bar(self) -> "PolyMap":
         return PolyMap(tuple(img.bar() for img in self.images))
 
-    @property
-    def is_real(self) -> bool:
-        return all(img.is_real for img in self.images)
-
-    def is_identity(self) -> bool:
-        return self == PolyMap.identity()
-
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
             return NotImplemented
@@ -195,29 +188,17 @@ def _check_weights(weights: Sequence[int]) -> tuple[int, int, int, int]:
     return weights
 
 
-def weight_check(f: PolyMap, weights: Sequence[int], sign: int = 1) -> bool:
-    """Equivariance grading check.
-
-    With sign +1, component i must be homogeneous of weighted degree w_i
-    (a holomorphic equivariant map).  With sign -1 it must be homogeneous of
-    weight -w_i, which is the grading a conjugating map must satisfy to be
-    compatible with the circle real structure t -> conj(t)^-1.
-    """
+def weight_check(f: PolyMap, weights: Sequence[int]) -> bool:
+    """Grading check for the polynomial part of a circle form: component i
+    must be homogeneous of weighted degree -w_i, the grading a map must have
+    to be compatible with the circle real structure t -> conj(t)^-1."""
     weights = _check_weights(weights)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     for img, w in zip(f.images, weights):
         if img.is_zero:
             continue
-        if img.weighted_degrees(weights) != {sign * w}:
+        if img.weighted_degrees(weights) != {-w}:
             return False
     return True
-
-
-def o2_relation_check(tau: PolyMap, weights: Sequence[int]) -> bool:
-    """True when tau is an involution that inverts the torus action, i.e.
-    tau^2 = id and every component is homogeneous of opposite weight."""
-    return weight_check(tau, weights, sign=-1) and tau.compose(tau).is_identity()
 
 
 def expand(matrix: StructuredMatrix) -> PolyMap:
@@ -228,22 +209,15 @@ def expand(matrix: StructuredMatrix) -> PolyMap:
         if not entry.is_polynomial:
             raise ValueError("cannot expand a matrix with Laurent entries")
 
-    def tpow(p: LaurentPoly, extra_a: int, var: int) -> MultiPoly:
-        # c*T^j -> c * a^(j+extra_a on a side) ... T = ab, plus a^e or b^e factor.
-        terms = {}
-        for j, c in p.items():
-            if var == 0:
-                mono = (j + extra_a, j, 0, 0)
-            else:
-                mono = (j, j + extra_a, 0, 0)
-            terms[mono] = c
-        return MultiPoly(terms)
+    def tpow(p: LaurentPoly, extra_a: int, extra_b: int) -> MultiPoly:
+        # c*T^j -> c * a^(j+extra_a) * b^(j+extra_b), since T = ab.
+        return MultiPoly({(j + extra_a, j + extra_b, 0, 0): c for j, c in p.items()})
 
     a_img = MultiPoly.variable(0)
     b_img = MultiPoly.variable(1)
     x_var = MultiPoly.variable(2)
     y_var = MultiPoly.variable(3)
     x_img = tpow(matrix.P, 0, 0) * x_var + tpow(matrix.Q, e, 0) * y_var
-    y_img = tpow(matrix.S, e, 1) * x_var + tpow(matrix.R, 0, 0) * y_var
+    y_img = tpow(matrix.S, 0, e) * x_var + tpow(matrix.R, 0, 0) * y_var
     return PolyMap((a_img, b_img, x_img, y_img))
 

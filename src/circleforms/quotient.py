@@ -17,35 +17,24 @@ from dataclasses import dataclass
 from .polymaps import MultiPoly, RealStructureMap
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
-    t: MultiPoly
-    w: MultiPoly
-    u: MultiPoly
-    v: MultiPoly
-
-    def as_tuple(self) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-        return self.t, self.w, self.u, self.v
-
-
-def make_invariants(m: int) -> InvariantTuple:
-    """The four generators for n = 2m+1."""
+def make_invariants(m: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+    """The four generators (T, W, U, V) for n = 2m+1."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = 2 * m + 1
-    return InvariantTuple(
-        t=MultiPoly.monomial((1, 1, 0, 0)),
-        w=MultiPoly.monomial((0, 0, 1, 1)),
-        u=MultiPoly.monomial((n, 0, 0, 2)),
-        v=MultiPoly.monomial((0, n, 2, 0)),
+    return (
+        MultiPoly.monomial((1, 1, 0, 0)),
+        MultiPoly.monomial((0, 0, 1, 1)),
+        MultiPoly.monomial((n, 0, 0, 2)),
+        MultiPoly.monomial((0, n, 2, 0)),
     )
 
 
 def verify_relation(m: int) -> bool:
     """U*V - T^n*W^2 expands to the zero polynomial, exactly."""
     n = 2 * m + 1
-    gens = make_invariants(m)
-    return (gens.u * gens.v - gens.t ** n * gens.w ** 2).is_zero
+    t, w, u, v = make_invariants(m)
+    return (u * v - t ** n * w ** 2).is_zero
 
 
 def in_invariant_subring(poly: MultiPoly, m: int) -> bool:
@@ -78,7 +67,6 @@ def induced_images(mu: RealStructureMap, m: int) -> InducedImages:
     (T, W, V, U); for twisted forms expressibility is reported as data, not
     asserted.
     """
-    gens = make_invariants(m).as_tuple()
-    images = tuple(g.substitute(mu.map.images) for g in gens)
+    images = tuple(g.substitute(mu.map.images) for g in make_invariants(m))
     expressible = tuple(in_invariant_subring(img, m) for img in images)
     return InducedImages(images=images, expressible=expressible)

@@ -87,9 +87,8 @@ def reference_candidates(re_basis, im_basis):
 
 def reference_bases(m_src, m_dst, deg_bound):
     ncols = 4 * (deg_bound + 1)
-    return tuple(fraction_nullspace(_conjugation_block(m_src, m_dst, deg_bound, sign, part).rows,
-                                    ncols)
-                 for sign, part in ((+1, "re"), (-1, "im")))
+    return tuple(fraction_nullspace(_conjugation_block(m_src, m_dst, deg_bound, sign).rows, ncols)
+                 for sign in (+1, -1))
 
 
 def reference_conjugators_between(m_src, m_dst, deg_bound):

@@ -18,6 +18,9 @@ Helpers that only the tests need:
 
 * ``scaling_map`` and ``base_scaling_map``: the circle point and the base
   rescaling as four-variable maps.
+* ``holomorphic_weight_check``: the grading of a holomorphic equivariant
+  map, component i of weighted degree w_i (``weight_check`` checks the
+  opposite grading of a circle form).
 * ``fixed_point_shape`` (with ``constant_value``): alpha for a matrix
   diag(alpha, conj(alpha)), the shape of every twist-fixed unit.
 * ``proof_conditions``: the two polynomiality conditions a diagonal gauge
@@ -86,7 +89,7 @@ def solve_in_invariant_subring(poly, m):
     if poly.is_zero:
         return True
     n = 2 * m + 1
-    gens = make_invariants(m).as_tuple()
+    gens = make_invariants(m)
     bound = 2 * max(sum(mono) for mono, _ in poly.items())
     gen_degree = (2, 2, n + 2, n + 2)
     wanted_degrees = {sum(mono) for mono, _ in poly.items()}
@@ -176,6 +179,14 @@ def scaling_map(omega, weights):
         factor = omega ** w if w >= 0 else omega.conjugate() ** (-w)
         images.append(MultiPoly.variable(i) * factor)
     return PolyMap(tuple(images))
+
+
+def holomorphic_weight_check(f, weights):
+    """Whether every nonzero component i of the map f is homogeneous of
+    weighted degree w_i."""
+    weights = _check_weights(weights)
+    return all(img.is_zero or img.weighted_degrees(weights) == {w}
+               for img, w in zip(f.images, weights))
 
 
 def base_scaling_map(r):

@@ -405,6 +405,13 @@ class TestDigitLimit:
         assert err.startswith("error: a rational in the result has more than " + self.LIMIT)
         assert not (tmp_path / "cert.json").exists()
 
+    def test_text_mode_does_not_format_the_certificate(self, capsys):
+        h = "1,0," + "9" * 1200
+        code, out, err = run(capsys, "equiv", "--m", "2", "--h", h, "--hp", "1")
+        assert code == 0
+        assert out == "equivalent, rational witness r = 1\n"
+        assert err == ""
+
 
 class TestCase12SharedChecks:
     def test_failed_check_fails_cli_and_selftest_criterion(self, capsys, monkeypatch):
@@ -419,6 +426,14 @@ class TestCase12SharedChecks:
         passed, detail = acceptance.case12_suite()
         assert not passed
         assert "bundle_conditions" in detail
+
+    def test_non_involution_twist_fails_involution_relations(self, capsys, monkeypatch):
+        one, t = LaurentPoly.one(), LaurentPoly.variable()
+        twist = StructuredMatrix(4, one - t, one * 2, -one, one + t + t ** 2 + t ** 3)
+        monkeypatch.setattr(forms, "case12_twist", lambda: twist)
+        code, out, _ = run(capsys, "case12")
+        assert code == 1
+        assert "FAIL  involution_relations" in out
 
 
 class TestSelftest:

@@ -7,6 +7,7 @@ from circleforms import (
     FormSpec,
     GaussianRational,
     LaurentPoly,
+    PolyMap,
     StructuredMatrix,
     case12_checks,
     case12_conjugator,
@@ -18,16 +19,15 @@ from circleforms import (
     make_circle_form,
     make_splitting,
     make_twist,
-    o2_relation_check,
     verify_case12_bundle,
     verify_cocycle,
     verify_splitting,
     weight_check,
 )
 from circleforms import forms
-from circleforms.forms import CASE12_WEIGHTS, splitting_entries, tau0_map
+from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
-from reference_paths import base_rescale
+from reference_paths import base_rescale, holomorphic_weight_check
 
 T = LaurentPoly.variable()
 one = LaurentPoly.one()
@@ -186,7 +186,7 @@ class TestCircleForms:
             spec = FormSpec(m, LaurentPoly.from_coeffs(coeffs))
             mu = make_circle_form(make_twist(spec))
             assert is_involution(mu)
-            assert weight_check(mu.map, spec.weights(), -1)
+            assert weight_check(mu.map, spec.weights())
 
     def test_family_checks_in_display_order(self):
         checks = family_checks(FormSpec(2, LaurentPoly.from_coeffs([1, -1])))
@@ -204,6 +204,10 @@ class TestCircleForms:
 class TestCase12:
     def test_frozen_twist(self):
         assert case12_twist().to_json() == FROZEN_CASE12_TWIST
+
+    def test_twist_is_the_literal_matrix(self):
+        assert case12_twist() == StructuredMatrix(4, one - T, one, -one,
+                                                  one + T + T ** 2 + T ** 3)
 
     def test_frozen_conjugator(self):
         assert case12_conjugator().to_json() == FROZEN_CASE12_CONJUGATOR
@@ -229,9 +233,10 @@ class TestCase12:
 
     def test_involution_relations(self):
         twist = case12_twist()
-        tau = make_circle_form(twist).map
-        assert tau == expand(twist).compose(tau0_map())
-        assert o2_relation_check(tau, CASE12_WEIGHTS)
+        mu = make_circle_form(twist)
+        assert mu.map == expand(twist).compose(PolyMap.coordinate_swap())
+        assert is_involution(mu)
+        assert weight_check(mu.map, CASE12_WEIGHTS)
 
     def test_linearization(self):
         assert case12_checks()["linearization"]
@@ -258,4 +263,4 @@ class TestCase12:
         assert case12_conjugator().det() == one
 
     def test_twist_is_equivariant(self):
-        assert weight_check(expand(case12_twist()), CASE12_WEIGHTS, +1)
+        assert holomorphic_weight_check(expand(case12_twist()), CASE12_WEIGHTS)

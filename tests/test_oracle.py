@@ -115,7 +115,7 @@ class TestBlockAssembly:
                    for i in range(4)]
         cand = StructuredMatrix(3, *entries)
         residual = _entry_difference(cand * m_src, m_dst * cand.s_twist())
-        block = _conjugation_block(m_src, m_dst, deg, +1, "re")
+        block = _conjugation_block(m_src, m_dst, deg, +1)
         vec = [F(u[i]) for i in range(8)]
         evaluated = [sum(a * x for a, x in zip(row, vec)) for row in block.rows]
         rows_vanish = all(v == 0 for v in evaluated)
@@ -281,7 +281,7 @@ class TestConjugatorsBetween:
         conj = case12_conjugator()
         ident = StructuredMatrix.identity(4)
         for component, sign in (("re", +1), ("im", -1)):
-            block = _conjugation_block(ident, case12_twist(), deg, sign, component)
+            block = _conjugation_block(ident, case12_twist(), deg, sign)
             vec = []
             for entry in conj.entries():
                 for j in range(width):

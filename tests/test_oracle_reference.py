@@ -167,8 +167,8 @@ class TestScanAgainstReference:
         for r in grid:
             m_src, m_dst = _twists(m, h, h2, r)
             re_basis, im_basis = reference_bases(m_src, m_dst, deg)
-            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, +1, "re")) == re_basis
-            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, -1, "im")) == im_basis
+            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, +1)) == re_basis
+            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, -1)) == im_basis
 
     @pytest.mark.parametrize("argv", [
         ["--m", "2", "--h", "1,1", "--hp", "2,8", "--deg", "4", "--r-grid=1,1/2,-1/2"],

@@ -18,12 +18,11 @@ from circleforms import (
     linear_circle_form,
     make_circle_form,
     make_twist,
-    o2_relation_check,
     weight_check,
 )
-from circleforms.forms import tau0_map, twist_automorphism
+from circleforms.forms import twist_automorphism
 
-from reference_paths import base_scaling_map, scaling_map
+from reference_paths import base_scaling_map, holomorphic_weight_check, scaling_map
 from strategies import gaussians, nonzero_rationals, structured
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
@@ -112,26 +111,23 @@ class TestWeightCheck:
     def test_twist_is_equivariant(self):
         spec = FormSpec(2, LaurentPoly.from_coeffs([1, 2]))
         phi = expand(make_twist(spec))
-        assert weight_check(phi, spec.weights(), +1)
+        assert holomorphic_weight_check(phi, spec.weights())
 
     def test_mu0_polynomial_part_inverts_weights(self):
-        assert weight_check(tau0_map(), (2, -2, 3, -3), -1)
+        mu0 = linear_circle_form()
+        assert is_involution(mu0)
+        assert weight_check(mu0.map, (2, -2, 3, -3))
+
+    def test_identity_fails_inversion(self):
+        assert not weight_check(PolyMap.identity(), (2, -2, 3, -3))
 
     def test_wrong_weight_detected(self):
         bad = PolyMap((X, B, A, Y))
-        assert not weight_check(bad, (2, -2, 3, -3), +1)
+        assert not holomorphic_weight_check(bad, (2, -2, 3, -3))
 
     def test_weights_pattern_enforced(self):
         with pytest.raises(ValueError):
-            weight_check(PolyMap.identity(), (2, -2, 3, 3), +1)
-
-
-class TestO2Relations:
-    def test_plain_swap(self):
-        assert o2_relation_check(tau0_map(), (2, -2, 3, -3))
-
-    def test_identity_fails_inversion(self):
-        assert not o2_relation_check(PolyMap.identity(), (2, -2, 3, -3))
+            weight_check(PolyMap.identity(), (2, -2, 3, 3))
 
 
 class TestExpand:
