@@ -114,9 +114,7 @@ class TestWeightCheck:
         assert holomorphic_weight_check(phi, spec.weights())
 
     def test_mu0_polynomial_part_inverts_weights(self):
-        mu0 = linear_circle_form()
-        assert is_involution(mu0)
-        assert weight_check(mu0.map, (2, -2, 3, -3))
+        assert weight_check(linear_circle_form().map, (2, -2, 3, -3))
 
     def test_identity_fails_inversion(self):
         assert not weight_check(PolyMap.identity(), (2, -2, 3, -3))
@@ -128,6 +126,15 @@ class TestWeightCheck:
     def test_weights_pattern_enforced(self):
         with pytest.raises(ValueError):
             weight_check(PolyMap.identity(), (2, -2, 3, 3))
+
+
+class TestO2Relations:
+    def test_plain_swap(self):
+        # The coordinate swap with conjugation satisfies both O(2) relations:
+        # it squares to the identity and inverts the circle weights.
+        mu0 = linear_circle_form()
+        assert is_involution(mu0)
+        assert weight_check(mu0.map, (2, -2, 3, -3))
 
 
 class TestExpand:
