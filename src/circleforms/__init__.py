@@ -14,7 +14,6 @@ from .matrices import StructuredMatrix
 from .polymaps import (
     MultiPoly,
     PolyMap,
-    RealStructureMap,
     compose,
     expand,
     is_involution,
@@ -51,7 +50,7 @@ from .oracle import (
     nullspace,
     search_conjugator,
 )
-from .quotient import InducedImages, induced_images, make_invariants, verify_relation
+from .quotient import induced_images, make_invariants, verify_relation
 
 __version__ = "0.1.0"
 
@@ -59,14 +58,12 @@ __all__ = [
     "DecisionResult",
     "FormSpec",
     "GaussianRational",
-    "InducedImages",
     "InternalConsistencyError",
     "LaurentPoly",
     "LinearSystem",
     "MultiPoly",
     "PolyMap",
     "Rational",
-    "RealStructureMap",
     "StructuredMatrix",
     "build_certificate",
     "case12_checks",

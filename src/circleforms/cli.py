@@ -228,23 +228,22 @@ def cmd_quotient(args) -> int:
     m = _require_m(args.m)
     relation = verify_relation(m)
     gens = make_invariants(m)
-    mu0 = linear_circle_form()
-    induced = induced_images(mu0, m)
+    images, expressible = induced_images(linear_circle_form(), m)
     names = ("T", "W", "U", "V")
     lines = [f"relation U*V - T^n*W^2 = 0: {'ok' if relation else 'FAIL'}"]
     for name, gen in zip(names, gens):
         lines.append(f"  {name} = {gen}")
     lines.append("images under the linear circle form (polynomial part):")
-    for name, img, expr in zip(names, induced.images, induced.expressible):
+    for name, img, expr in zip(names, images, expressible):
         status = "invariant subring" if expr else "NOT expressible"
         lines.append(f"  {name} -> {img}   [{status}]")
     payload = {
         "m": m,
         "relation_holds": relation,
-        "induced_expressible": list(induced.expressible),
+        "induced_expressible": list(expressible),
     }
     _emit(args, lines, payload)
-    return 0 if relation and all(induced.expressible) else 1
+    return 0 if relation and all(expressible) else 1
 
 
 def cmd_selftest(args) -> int:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import PolyMap, RealStructureMap, compose, expand, is_involution, weight_check
+from .polymaps import PolyMap, compose, expand, is_involution, weight_check
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -132,19 +132,15 @@ def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
     return candidate.in_lambda() and candidate * m_src == m_dst * candidate.galois()
 
 
-def linear_circle_form() -> RealStructureMap:
+def linear_circle_form() -> PolyMap:
     """mu_0: coordinate swap composed with conjugation; the linear circle form."""
-    return RealStructureMap(PolyMap.coordinate_swap(), conjugates_input=True)
+    return PolyMap(PolyMap.coordinate_swap().images, conjugates_input=True)
 
 
-def twist_automorphism(matrix: StructuredMatrix) -> RealStructureMap:
-    """phi_M as a four-variable map (holomorphic, no conjugation)."""
-    return RealStructureMap(expand(matrix), conjugates_input=False)
-
-
-def make_circle_form(twist: StructuredMatrix) -> RealStructureMap:
-    """mu_M = phi_M o mu_0; for M = M_h this is the family form mu_h."""
-    return compose(twist_automorphism(twist), linear_circle_form())
+def make_circle_form(twist: StructuredMatrix) -> PolyMap:
+    """mu_M = phi_M o mu_0, with phi_M = expand(M); for M = M_h this is the
+    family form mu_h."""
+    return compose(expand(twist), linear_circle_form())
 
 
 def family_checks(spec: FormSpec) -> dict[str, bool]:
@@ -159,7 +155,7 @@ def family_checks(spec: FormSpec) -> dict[str, bool]:
         "cocycle": verify_cocycle(twist),
         "splitting": verify_splitting(twist, make_splitting(spec)),
         "involution": is_involution(mu),
-        "weight_grading": weight_check(mu.map, spec.weights()),
+        "weight_grading": weight_check(mu, spec.weights()),
     }
 
 
@@ -216,6 +212,6 @@ def case12_checks() -> dict[str, bool]:
     return {
         "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
         "bundle_conditions": verify_case12_bundle(twist),
-        "involution_relations": is_involution(mu) and weight_check(mu.map, CASE12_WEIGHTS),
+        "involution_relations": is_involution(mu) and weight_check(mu, CASE12_WEIGHTS),
         "conjugator_not_real": conj.galois() != conj,
     }

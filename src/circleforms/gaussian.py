@@ -37,7 +37,7 @@ def _exponent(text: Optional[str]) -> int:
     if not text:
         return 0
     digits = text.lstrip("+-").replace("_", "").lstrip("0")
-    size = int(digits) if len(digits) <= 18 else 10 ** 18
+    size = int(digits or "0") if len(digits) <= 18 else 10 ** 18
     return -size if text[0] == "-" else size
 
 

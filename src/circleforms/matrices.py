@@ -16,7 +16,6 @@ the holomorphic bundle twist does the same swap without conjugation.
 
 from __future__ import annotations
 
-from .gaussian import GaussianRational
 from .laurent import LaurentPoly
 
 
@@ -36,11 +35,6 @@ class StructuredMatrix:
     def identity(cls, e: int) -> "StructuredMatrix":
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
         return cls(e, one, zero, zero, one)
-
-    @classmethod
-    def diagonal(cls, e: int, top: GaussianRational, bottom: GaussianRational) -> "StructuredMatrix":
-        zero = LaurentPoly.zero()
-        return cls(e, LaurentPoly.constant(top), zero, zero, LaurentPoly.constant(bottom))
 
     def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
         return self.P, self.Q, self.S, self.R

@@ -1,11 +1,17 @@
 """Expanded four-variable symbolic engine.
 
 Polynomial self-maps of C^4 in the coordinates (a, b, x, y), optionally
-pre-composed with coefficientwise conjugation, are the ground truth that the
+pre-composed with coordinatewise conjugation, are the ground truth that the
 structured-matrix shortcuts get validated against.  Everything here is exact
 and pure; the expanded view is a verification layer, not the production path.
 ``MultiPoly`` takes every ring operation except multiplication from the
 sparse kernel ``laurent.SparsePoly`` that ``LaurentPoly`` also builds on.
+
+``PolyMap`` is the one map type: four coordinate images and a
+``conjugates_input`` flag, set for circle forms such as mu_0 and unset for
+twists phi_M = ``expand(M)``.  ``compose`` is the one way to compose two
+maps, and ``is_involution`` and ``weight_check`` are the two circle-form
+checks.
 """
 
 from __future__ import annotations
@@ -105,15 +111,22 @@ class MultiPoly(SparsePoly):
 
 
 class PolyMap:
-    """Polynomial self-map of C^4, stored as the four coordinate images."""
+    """Self-map of C^4 given by four coordinate images, optionally
+    pre-composed with coordinatewise conjugation.
 
-    __slots__ = ("images",)
+    Semantics: v -> images(conj(v)) when conjugates_input is set, else
+    v -> images(v).  Antiholomorphic involutions (real forms) carry the flag;
+    ordinary automorphisms do not.
+    """
 
-    def __init__(self, images: Sequence[MultiPoly]):
+    __slots__ = ("images", "conjugates_input")
+
+    def __init__(self, images: Sequence[MultiPoly], conjugates_input: bool = False):
         images = tuple(images)
         if len(images) != 4:
             raise ValueError("a polynomial self-map of C^4 needs four images")
         self.images = images
+        self.conjugates_input = bool(conjugates_input)
 
     @classmethod
     def identity(cls) -> "PolyMap":
@@ -125,60 +138,27 @@ class PolyMap:
         v = [MultiPoly.variable(i) for i in range(4)]
         return cls((v[1], v[0], v[3], v[2]))
 
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self after other: v -> self(other(v))."""
-        return PolyMap(tuple(img.substitute(other.images) for img in self.images))
-
-    def bar(self) -> "PolyMap":
-        return PolyMap(tuple(img.bar() for img in self.images))
-
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
             return NotImplemented
-        return self.images == other.images
-
-    def __repr__(self):
-        body = ", ".join(f"{n} -> {img}" for n, img in zip(VAR_NAMES, self.images))
-        return f"PolyMap({body})"
-
-
-class RealStructureMap:
-    """A polynomial map optionally pre-composed with coordinatewise conjugation.
-
-    Semantics: v -> map(conj(v)) when conjugates_input is set, else v -> map(v).
-    Antiholomorphic involutions (real forms) carry the flag; ordinary
-    automorphisms do not.
-    """
-
-    __slots__ = ("map", "conjugates_input")
-
-    def __init__(self, poly_map: PolyMap, conjugates_input: bool):
-        self.map = poly_map
-        self.conjugates_input = bool(conjugates_input)
-
-    @classmethod
-    def identity(cls) -> "RealStructureMap":
-        return cls(PolyMap.identity(), False)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealStructureMap):
-            return NotImplemented
-        return self.conjugates_input == other.conjugates_input and self.map == other.map
+        return self.conjugates_input == other.conjugates_input and self.images == other.images
 
     def __repr__(self):
         flag = "conj" if self.conjugates_input else "holo"
-        return f"RealStructureMap[{flag}]({self.map!r})"
+        body = ", ".join(f"{n} -> {img}" for n, img in zip(VAR_NAMES, self.images))
+        return f"PolyMap[{flag}]({body})"
 
 
-def compose(f: RealStructureMap, g: RealStructureMap) -> RealStructureMap:
-    """f after g.  Conjugation moves through the polynomial part of g by
-    conjugating its coefficients, so the result is again map-then-maybe-conj."""
-    inner = g.map.bar() if f.conjugates_input else g.map
-    return RealStructureMap(f.map.compose(inner), f.conjugates_input ^ g.conjugates_input)
+def compose(f: PolyMap, g: PolyMap) -> PolyMap:
+    """f after g: v -> f(g(v)).  Conjugation moves through g by conjugating
+    its coefficients, so the result is again images-then-maybe-conj."""
+    inner = tuple(img.bar() for img in g.images) if f.conjugates_input else g.images
+    return PolyMap(tuple(img.substitute(inner) for img in f.images),
+                   f.conjugates_input ^ g.conjugates_input)
 
 
-def is_involution(f: RealStructureMap) -> bool:
-    return compose(f, f) == RealStructureMap.identity()
+def is_involution(f: PolyMap) -> bool:
+    return compose(f, f) == PolyMap.identity()
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, int, int, int]:

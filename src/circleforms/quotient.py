@@ -12,9 +12,7 @@ attempt to classify the induced real forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polymaps import MultiPoly, RealStructureMap
+from .polymaps import MultiPoly, PolyMap
 
 
 def make_invariants(m: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
@@ -51,22 +49,13 @@ def in_invariant_subring(poly: MultiPoly, m: int) -> bool:
     return poly.weighted_degrees((2, -2, n, -n)) <= {0}
 
 
-@dataclass(frozen=True)
-class InducedImages:
-    """Pullbacks of the generators along the polynomial part of a circle
-    form, plus whether each pullback lies in the invariant subring."""
-
-    images: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]
-    expressible: tuple[bool, bool, bool, bool]
-
-
-def induced_images(mu: RealStructureMap, m: int) -> InducedImages:
-    """Images of T, W, U, V under the polynomial part of mu.
+def induced_images(mu: PolyMap, m: int) -> tuple[tuple[MultiPoly, ...], tuple[bool, ...]]:
+    """Pullbacks (images) of T, W, U, V along the polynomial part of mu, and
+    whether each lies in the invariant subring (expressible).
 
     For the linear circle form the images land back in the generator set
     (T, W, V, U); for twisted forms expressibility is reported as data, not
     asserted.
     """
-    images = tuple(g.substitute(mu.map.images) for g in make_invariants(m))
-    expressible = tuple(in_invariant_subring(img, m) for img in images)
-    return InducedImages(images=images, expressible=expressible)
+    images = tuple(g.substitute(mu.images) for g in make_invariants(m))
+    return images, tuple(in_invariant_subring(img, m) for img in images)

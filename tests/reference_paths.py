@@ -21,6 +21,7 @@ Helpers that only the tests need:
 * ``holomorphic_weight_check``: the grading of a holomorphic equivariant
   map, component i of weighted degree w_i (``weight_check`` checks the
   opposite grading of a circle form).
+* ``diagonal``: the constant matrix diag(top, bottom) at cross-exponent e.
 * ``fixed_point_shape`` (with ``constant_value``): alpha for a matrix
   diag(alpha, conj(alpha)), the shape of every twist-fixed unit.
 * ``proof_conditions``: the two polynomiality conditions a diagonal gauge
@@ -196,6 +197,12 @@ def base_scaling_map(r):
         raise ValueError("base scaling factor must be nonzero")
     v = [MultiPoly.variable(i) for i in range(4)]
     return PolyMap((v[0] * r, v[1] * r, v[2], v[3]))
+
+
+def diagonal(e, top, bottom):
+    """The constant matrix diag(top, bottom) at cross-exponent e."""
+    zero = LaurentPoly.zero()
+    return StructuredMatrix(e, LaurentPoly.constant(top), zero, zero, LaurentPoly.constant(bottom))
 
 
 def constant_value(p):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
 
+from reference_paths import diagonal
+
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 
@@ -46,7 +48,6 @@ def lambda_matrices(e):
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     upper = small_polys.map(lambda p: StructuredMatrix(e, one, p, zero, one))
     lower = small_polys.map(lambda q: StructuredMatrix(e, one, zero, q, one))
-    diagonal = st.builds(StructuredMatrix.diagonal, st.just(e),
-                         nonzero_gaussians, nonzero_gaussians)
+    diag = st.builds(diagonal, st.just(e), nonzero_gaussians, nonzero_gaussians)
     factors = st.lists(st.one_of(upper, lower), max_size=3)
-    return st.tuples(diagonal, factors).map(lambda parts: reduce(mul, parts[1], parts[0]))
+    return st.tuples(diag, factors).map(lambda parts: reduce(mul, parts[1], parts[0]))

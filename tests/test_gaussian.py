@@ -118,7 +118,8 @@ class TestText:
 
     @given(sign=st.sampled_from(["", "-", "+"]), num=st.from_regex(r"[0-9]{0,4}", fullmatch=True),
            tail=st.sampled_from(["", "/7", "/0", "/1_0", ".", ".5", ".25", ".0_1", "e3", "E-2",
-                                 ".5e+1", "e", "/", "/-2", "x"]),
+                                 ".5e+1", "e", "/", "/-2", "x", "e0", "E-0", ".5e+00",
+                                 "e0_0"]),
            pad=st.sampled_from(["", " ", "\t"]))
     def test_parse_agrees_with_fraction(self, sign, num, tail, pad):
         text = pad + sign + num + tail + pad

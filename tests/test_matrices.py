@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
 
-from reference_paths import base_rescale, fixed_point_shape, substitute_power
+from reference_paths import base_rescale, diagonal, fixed_point_shape, substitute_power
 from strategies import gaussians, laurents, nonzero_gaussians, nonzero_rationals, structured_matrices
 
 T = LaurentPoly.variable()
@@ -65,9 +65,9 @@ class TestProductAndInverse:
 
     def test_inverse_of_diagonal(self):
         alpha = GaussianRational(2, 1)
-        m = StructuredMatrix.diagonal(3, alpha, alpha.conjugate())
+        m = diagonal(3, alpha, alpha.conjugate())
         inv = m.inverse()
-        assert inv == StructuredMatrix.diagonal(3, alpha.inverse(), alpha.conjugate().inverse())
+        assert inv == diagonal(3, alpha.inverse(), alpha.conjugate().inverse())
 
     def test_non_unit_determinant_rejected(self):
         m = StructuredMatrix(3, one + T, zero, zero, one)
@@ -195,7 +195,7 @@ class TestMembership:
 class TestFixedPointShape:
     def test_diagonal_pair(self):
         alpha = GaussianRational(2, 1)
-        m = StructuredMatrix.diagonal(3, alpha, alpha.conjugate())
+        m = diagonal(3, alpha, alpha.conjugate())
         assert fixed_point_shape(m) == alpha
 
     def test_identity(self):
@@ -207,7 +207,7 @@ class TestFixedPointShape:
         assert fixed_point_shape(m) is None
 
     def test_mismatched_diagonal_absent(self):
-        m = StructuredMatrix.diagonal(3, GaussianRational(2, 1), GaussianRational(2, 1))
+        m = diagonal(3, GaussianRational(2, 1), GaussianRational(2, 1))
         assert fixed_point_shape(m) is None
 
     @given(p=laurents, q=laurents)
@@ -224,7 +224,7 @@ class TestFixedPointShape:
 
     @given(alpha=nonzero_gaussians)
     def test_diagonal_instances_always_pass(self, alpha):
-        psi = StructuredMatrix.diagonal(5, alpha, alpha.conjugate())
+        psi = diagonal(5, alpha, alpha.conjugate())
         assert psi.galois() == psi
         assert psi.det().is_constant
         assert fixed_point_shape(psi) == alpha

@@ -10,7 +10,6 @@ from circleforms import (
     LaurentPoly,
     MultiPoly,
     PolyMap,
-    RealStructureMap,
     StructuredMatrix,
     compose,
     expand,
@@ -20,7 +19,6 @@ from circleforms import (
     make_twist,
     weight_check,
 )
-from circleforms.forms import twist_automorphism
 
 from reference_paths import base_scaling_map, holomorphic_weight_check, scaling_map
 from strategies import gaussians, nonzero_rationals, structured
@@ -70,17 +68,40 @@ class TestMultiPoly:
 class TestCompose:
     def test_mu0_squares_to_identity(self):
         mu0 = linear_circle_form()
-        assert compose(mu0, mu0) == RealStructureMap.identity()
+        assert compose(mu0, mu0) == PolyMap.identity()
 
     def test_conjugation_flags_cancel(self):
-        conj = RealStructureMap(PolyMap.identity(), True)
-        assert compose(conj, conj) == RealStructureMap.identity()
+        conj = PolyMap(PolyMap.identity().images, True)
+        assert compose(conj, conj) == PolyMap.identity()
+
+    def test_flag_is_part_of_equality(self):
+        swap = PolyMap.coordinate_swap().images
+        assert PolyMap(swap, True) != PolyMap(swap, False)
+        assert PolyMap(swap, True) == linear_circle_form()
+        assert PolyMap(swap) == PolyMap(swap, False)
+
+    def test_flags_xor_on_all_four_pairs(self):
+        twist = make_twist(FormSpec(1, LaurentPoly.from_coeffs([1, 2])))
+        phi, mu0 = expand(twist), linear_circle_form()
+        for f in (phi, mu0):
+            for g in (phi, mu0):
+                assert compose(f, g).conjugates_input == (f is mu0) ^ (g is mu0)
+        assert compose(mu0, compose(phi, mu0)) == expand(twist.galois())
+
+    def test_flag_conjugates_the_inner_images(self):
+        # (a, b, x, y) -> (i*b, -i*a, y, x): squaring gives (i*(-i)a, -i*i*b, x, y)
+        # = id, but after conjugating the inner images it gives (-a, -b, x, y).
+        i = GaussianRational(0, 1)
+        images = (B * i, A * -i, Y, X)
+        assert is_involution(PolyMap(images))
+        assert not is_involution(PolyMap(images, True))
+        assert compose(PolyMap(images, True), PolyMap(images, True)) == PolyMap((-A, -B, X, Y))
 
     def test_circle_form_is_twist_after_swap(self):
         spec = FormSpec(1, LaurentPoly.one())
         twist = make_twist(spec)
         mu = make_circle_form(twist)
-        manual = compose(twist_automorphism(twist), linear_circle_form())
+        manual = compose(expand(twist), linear_circle_form())
         assert mu == manual
         assert mu.conjugates_input
 
@@ -88,8 +109,8 @@ class TestCompose:
     @settings(max_examples=25)
     def test_associativity_via_matrices(self, pair):
         m1, m2 = pair
-        f = RealStructureMap(expand(m1), False)
-        g = RealStructureMap(expand(m2), True)
+        f = expand(m1)
+        g = PolyMap(expand(m2).images, True)
         mu0 = linear_circle_form()
         assert compose(compose(f, g), mu0) == compose(f, compose(g, mu0))
 
@@ -103,7 +124,7 @@ class TestInvolutions:
 
     def test_twist_alone_is_not(self):
         spec = FormSpec(1, LaurentPoly.one())
-        phi = twist_automorphism(make_twist(spec))
+        phi = expand(make_twist(spec))
         assert not is_involution(phi)
 
 
@@ -114,7 +135,7 @@ class TestWeightCheck:
         assert holomorphic_weight_check(phi, spec.weights())
 
     def test_mu0_polynomial_part_inverts_weights(self):
-        assert weight_check(linear_circle_form().map, (2, -2, 3, -3))
+        assert weight_check(linear_circle_form(), (2, -2, 3, -3))
 
     def test_identity_fails_inversion(self):
         assert not weight_check(PolyMap.identity(), (2, -2, 3, -3))
@@ -134,7 +155,7 @@ class TestO2Relations:
         # it squares to the identity and inverts the circle weights.
         mu0 = linear_circle_form()
         assert is_involution(mu0)
-        assert weight_check(mu0.map, (2, -2, 3, -3))
+        assert weight_check(mu0, (2, -2, 3, -3))
 
 
 class TestExpand:
@@ -151,15 +172,13 @@ class TestExpand:
     @settings(max_examples=25)
     def test_product_homomorphism(self, pair):
         m1, m2 = pair
-        assert expand(m1 * m2) == expand(m1).compose(expand(m2))
+        assert expand(m1 * m2) == compose(expand(m1), expand(m2))
 
     @given(m=poly_structured)
     @settings(max_examples=25)
     def test_galois_is_mu0_conjugation(self, m):
         mu0 = linear_circle_form()
-        lhs = RealStructureMap(expand(m.galois()), False)
-        rhs = compose(mu0, compose(RealStructureMap(expand(m), False), mu0))
-        assert lhs == rhs
+        assert expand(m.galois()) == compose(mu0, compose(expand(m), mu0))
 
     @given(m=poly_structured)
     @settings(max_examples=20)
@@ -185,15 +204,15 @@ class TestCircleScalings:
         weights = (2, -2, m.e, -m.e)
         rho = scaling_map(OMEGA, weights)
         rho_inv = scaling_map(OMEGA.conjugate(), weights)
-        assert rho_inv.compose(rho) == PolyMap.identity()
-        conjugated = rho.compose(expand(m)).compose(rho_inv)
+        assert compose(rho_inv, rho) == PolyMap.identity()
+        conjugated = compose(compose(rho, expand(m)), rho_inv)
         assert conjugated == expand(m)
 
     @given(r=nonzero_rationals)
     def test_base_scaling_factors(self, r):
         # composing the base rescaling with a circle point gives base factors
         # (lambda, conj(lambda)) with lambda = r * omega^2
-        psi = base_scaling_map(r).compose(scaling_map(OMEGA, (2, -2, 3, -3)))
+        psi = compose(base_scaling_map(r), scaling_map(OMEGA, (2, -2, 3, -3)))
         lam = OMEGA * OMEGA * r
         assert psi.images[0] == A * lam
         assert psi.images[1] == B * lam.conjugate()
