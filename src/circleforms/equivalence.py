@@ -53,11 +53,6 @@ class DecisionResult:
         if self.certificate is not None and self.rational_witness is None:
             raise InternalConsistencyError("certificate without a rational witness")
 
-    @property
-    def witness_exists_over_reals(self) -> bool:
-        """A real r exists exactly when the forms are equivalent."""
-        return self.equivalent
-
     def certificate_json(self) -> Optional[dict]:
         """The certificate as the document `equiv --out` writes and
         `verify-certificate` reads, or None without one."""
@@ -72,7 +67,8 @@ class DecisionResult:
             witness = format_rational(self.rational_witness)
         return {
             "equivalent": self.equivalent,
-            "witness_exists_over_reals": self.witness_exists_over_reals,
+            # a real r exists exactly when the forms are equivalent
+            "witness_exists_over_reals": self.equivalent,
             "rational_witness": witness,
             "certificate": self.certificate_json(),
         }

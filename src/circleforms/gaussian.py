@@ -136,18 +136,27 @@ def rational_odd_root(q: RationalLike, k: int) -> Optional[Fraction]:
 class GaussianRational:
     """An element re + im*i of Q(i).  Immutable; equality is structural.
 
-    Components are exact rationals, held as plain int whenever integral
-    (int arithmetic is far cheaper than Fraction and the two mix exactly);
-    any division routes through Fraction.
+    Components are exact rationals, held as plain int whenever integral,
+    Fraction(n, 1) and reduced Fraction results included (int arithmetic is
+    far cheaper than Fraction and the two mix exactly); any division routes
+    through Fraction.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        kind = type(re)
-        self.re = re if kind is int or kind is Fraction else Fraction(re)
-        kind = type(im)
-        self.im = im if kind is int or kind is Fraction else Fraction(im)
+        if type(re) is not int:
+            if type(re) is not Fraction:
+                re = Fraction(re)
+            if re.denominator == 1:
+                re = re.numerator
+        if type(im) is not int:
+            if type(im) is not Fraction:
+                im = Fraction(im)
+            if im.denominator == 1:
+                im = im.numerator
+        self.re = re
+        self.im = im
 
     @property
     def is_zero(self) -> bool:

@@ -299,9 +299,11 @@ def geometric_sum(base: LaurentPoly, count: int) -> LaurentPoly:
     """sum_{j=0}^{count-1} base^j  (the empty sum is 0, count=1 gives 1)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    acc = LaurentPoly.zero()
+    acc: dict[int, GaussianRational] = {}
     power = LaurentPoly.one()
     for _ in range(count):
-        acc = acc + power
+        for e, c in power.items():
+            cur = acc.get(e)
+            acc[e] = c if cur is None else cur + c
         power = power * base
-    return acc
+    return LaurentPoly._wrap({e: c for e, c in acc.items() if not c.is_zero})

@@ -65,29 +65,65 @@ class MultiPoly(SparsePoly):
         return out
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Evaluate at images = (image of a, of b, of x, of y)."""
+        """Evaluate at images = (image of a, of b, of x, of y).
+
+        An image that is a single term c*v enters a term of self by adding
+        exponents and multiplying by a cached power of c (by nothing when
+        c = 1); only the powers of multi-term images are multiplied out,
+        once each.  Every term accumulates into one dict."""
         if len(images) != 4:
             raise ValueError("need exactly four images")
-        pow_cache: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(1), 1: img} for img in images
-        ]
+        # For a single-term image, (its exponents, its coefficient or None
+        # when that is 1); None for a zero or multi-term image.
+        singles = []
+        for img in images:
+            single = None
+            if len(img._terms) == 1:
+                ((mono, c),) = img._terms.items()
+                single = (mono, None if c.re == 1 and not c.im else c)
+            singles.append(single)
+        pow_cache: dict[tuple[int, int], object] = {}
 
-        def power(i: int, n: int) -> "MultiPoly":
-            cache = pow_cache[i]
-            got = cache.get(n)
+        def power(i: int, n: int):
+            """images[i] ** n, or the n-th power of its coefficient when it
+            is a single term."""
+            got = pow_cache.get((i, n))
             if got is None:
-                got = images[i] ** n
-                cache[n] = got
+                single = singles[i]
+                got = images[i] ** n if single is None else single[1] ** n
+                pow_cache[i, n] = got
             return got
 
-        total = MultiPoly.zero()
+        acc: dict[Monomial, GaussianRational] = {}
         for mono, c in self._terms.items():
-            term = MultiPoly.constant(c)
+            a = b = x = y = 0
+            product = None
             for i, exp in enumerate(mono):
-                if exp:
-                    term = term * power(i, exp)
-            total = total + term
-        return total
+                if not exp:
+                    continue
+                single = singles[i]
+                if single is None:
+                    factor = power(i, exp)
+                    product = factor if product is None else product * factor
+                    continue
+                m = single[0]
+                a += exp * m[0]
+                b += exp * m[1]
+                x += exp * m[2]
+                y += exp * m[3]
+                if single[1] is not None:
+                    c = c * power(i, exp)
+            if product is None:
+                key = (a, b, x, y)
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
+                continue
+            for m, pc in product._terms.items():
+                key = (a + m[0], b + m[1], x + m[2], y + m[3])
+                p = c * pc
+                cur = acc.get(key)
+                acc[key] = p if cur is None else cur + p
+        return MultiPoly._wrap({m: c for m, c in acc.items() if not c.is_zero})
 
     def weighted_degrees(self, weights: Sequence[int]) -> set[int]:
         """The set of weighted degrees of the monomials present."""

@@ -13,6 +13,9 @@ by the package.
 * ``conjugates_by_inverse``: the twisted-conjugation identity written with
   an inverse, N * M * (gamma N)^-1 = M', against which the package's
   inverse-free N * M = M' * gamma(N) is cross-checked.
+* ``substitute_by_products``: ``MultiPoly.substitute`` as one polynomial
+  product per variable of every term, summed term by term, against which
+  the package's monomial path for single-term images is cross-checked.
 
 Helpers that only the tests need:
 
@@ -139,6 +142,31 @@ def conjugates_by_inverse(n, src, dst):
     if not n.in_lambda():
         return False
     return n * src * n.galois().inverse() == dst
+
+
+def substitute_by_products(poly, images):
+    """poly evaluated at images = (image of a, of b, of x, of y): each term
+    is its coefficient times the cached powers of the images it uses."""
+    if len(images) != 4:
+        raise ValueError("need exactly four images")
+    pow_cache = [{0: MultiPoly.constant(1), 1: img} for img in images]
+
+    def power(i, n):
+        cache = pow_cache[i]
+        got = cache.get(n)
+        if got is None:
+            got = images[i] ** n
+            cache[n] = got
+        return got
+
+    total = MultiPoly.zero()
+    for mono, c in poly.items():
+        term = MultiPoly.constant(c)
+        for i, exp in enumerate(mono):
+            if exp:
+                term = term * power(i, exp)
+        total = total + term
+    return total
 
 
 def substitute_power(p, scale):

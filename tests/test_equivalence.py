@@ -37,14 +37,14 @@ class TestDecide:
     def test_halving_pair(self):
         result = decide_equiv(poly(1, 1), poly(2, 8), 2)
         assert result.equivalent
-        assert result.witness_exists_over_reals
+        assert result.to_json()["witness_exists_over_reals"] is True
         assert result.rational_witness == Fraction(1, 2)
         assert result.certificate is not None
 
     def test_linear_vs_twisted(self):
         result = decide_equiv(zero, one, 1)
         assert not result.equivalent
-        assert not result.witness_exists_over_reals
+        assert result.to_json()["witness_exists_over_reals"] is False
         assert result.rational_witness is None
         assert result.certificate is None
 

@@ -25,7 +25,7 @@ from circleforms import (
     verify_splitting,
     weight_check,
 )
-from circleforms import forms
+from circleforms import cli, forms
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
 from reference_paths import base_rescale, holomorphic_weight_check
@@ -200,6 +200,36 @@ class TestCircleForms:
         spec = FormSpec(2, LaurentPoly.from_coeffs([1, 1]))
         twist = make_twist(spec)
         assert verify_cocycle(twist) == is_involution(make_circle_form(twist))
+
+
+class TestIntegralCoefficients:
+    """h = 1 + 2T + 3T^2 written with ints, with Fraction(n, 1) or with the
+    command-line tokens 2/2, 1e0 and 3.0 is one h: same checks, same twist,
+    same verify-form --json bytes."""
+
+    SPELLINGS = ([1, 2, 3], [Fraction(1), Fraction(2, 1), Fraction(6, 2)])
+    TOKENS = ("1,2,3", "2/2,4/2,3.0", "1e0,2,3e0")
+
+    def test_family_checks_agree(self):
+        specs = [FormSpec(2, LaurentPoly.from_coeffs(h)) for h in self.SPELLINGS]
+        specs += [FormSpec(2, cli.parse_poly(tokens)) for tokens in self.TOKENS]
+        checks = [family_checks(spec) for spec in specs]
+        assert all(checks[0].values())
+        assert all(c == checks[0] for c in checks)
+        twists = [make_twist(spec) for spec in specs]
+        assert all(t.to_json() == twists[0].to_json() for t in twists)
+        for twist in twists:
+            for entry in twist.entries():
+                for _, c in entry.items():
+                    assert type(c.re) is int and type(c.im) is int
+
+    def test_verify_form_json_bytes_agree(self, capsys):
+        outputs = []
+        for tokens in self.TOKENS:
+            code = cli.main(["verify-form", "--m", "2", "--h", tokens, "--json"])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0][0] == 0
+        assert outputs == [outputs[0]] * len(self.TOKENS)
 
 
 class TestCase12:

@@ -50,6 +50,32 @@ class TestArithmetic:
         assert (z1 / z2) * z2 == z1
 
 
+class TestIntegralStorage:
+    """A component whose value is an integer is held as an int, whether it
+    was given as Fraction(n, 1) or came out of Fraction arithmetic."""
+
+    def test_integral_fraction_is_held_as_int(self):
+        z = GaussianRational(Fraction(6, 3), Fraction(-4, 1))
+        assert type(z.re) is int and type(z.im) is int
+        assert (z.re, z.im) == (2, -4)
+
+    def test_reduced_fraction_equals_and_hashes_as_int(self):
+        z = GaussianRational(Fraction(1, 2) * 2)
+        assert type(z.re) is int
+        assert z == GaussianRational(1)
+        assert hash(z) == hash(GaussianRational(1))
+
+    def test_arithmetic_results_are_held_as_int(self):
+        half = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+        for z in (half + half, half * 2, GaussianRational(2).inverse() * 2):
+            assert type(z.re) is int and type(z.im) is int
+
+    @given(z=gaussians)
+    def test_int_exactly_when_integral(self, z):
+        for part in (z.re, z.im):
+            assert (type(part) is int) == (Fraction(part).denominator == 1)
+
+
 class TestConjugation:
     def test_basic(self):
         assert GaussianRational(1, 1).conjugate() == GaussianRational(1, -1)

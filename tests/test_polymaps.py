@@ -20,8 +20,13 @@ from circleforms import (
     weight_check,
 )
 
-from reference_paths import base_scaling_map, holomorphic_weight_check, scaling_map
-from strategies import gaussians, nonzero_rationals, structured
+from reference_paths import (
+    base_scaling_map,
+    holomorphic_weight_check,
+    scaling_map,
+    substitute_by_products,
+)
+from strategies import gaussians, nonzero_gaussians, nonzero_rationals, real_polys, structured
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
 
@@ -30,6 +35,18 @@ multis = st.dictionaries(
     gaussians,
     max_size=4,
 ).map(MultiPoly)
+
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+# An image is zero, a constant, a single term (its coefficient 1 or any
+# nonzero element of Q(i)) or several terms: the cases substitute tells apart.
+substitute_images = st.one_of(
+    st.just(MultiPoly.zero()),
+    nonzero_gaussians.map(MultiPoly.constant),
+    st.builds(MultiPoly.monomial, monomials,
+              st.one_of(st.just(GaussianRational(1)), nonzero_gaussians)),
+    st.dictionaries(monomials, nonzero_gaussians, min_size=2, max_size=3).map(MultiPoly),
+)
 
 poly_structured = structured(e_values=(3, 5), entry_strategy=st.dictionaries(
     st.integers(0, 2), gaussians, max_size=3).map(LaurentPoly))
@@ -63,6 +80,21 @@ class TestMultiPoly:
     @settings(max_examples=50)
     def test_substitute_identity(self, p):
         assert p.substitute((A, B, X, Y)) == p
+
+    @given(p=multis, images=st.tuples(*[substitute_images] * 4))
+    @settings(max_examples=150)
+    def test_substitute_agrees_with_products(self, p, images):
+        assert p.substitute(images) == substitute_by_products(p, images)
+
+    @given(h=real_polys)
+    @settings(max_examples=20, derandomize=True, database=None)
+    def test_substitute_agrees_with_products_on_family_squares(self, h):
+        """Every image of compose(mu_h, mu_h) for m = 1..3."""
+        for m in (1, 2, 3):
+            mu = make_circle_form(make_twist(FormSpec(m, h)))
+            inner = tuple(img.bar() for img in mu.images)
+            for img in mu.images:
+                assert img.substitute(inner) == substitute_by_products(img, inner)
 
 
 class TestCompose:
