@@ -3,7 +3,9 @@
 Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical:
 positive denominator, reduced, zero as 0/1).  ``GaussianRational`` layers the
 imaginary unit on top and is the coefficient field for every symbolic
-computation in this package.  No floating point anywhere.
+computation in this package.  No floating point anywhere.  Its ``+ - * ==``
+take two GaussianRationals: an int or Fraction enters through the
+constructor GaussianRational(re, im), and ``==`` with a plain scalar is False.
 
 parse_rational is the one reader of the text form of a rational (command
 line and JSON) and format_rational the one writer.  Both refuse a numerator
@@ -138,7 +140,7 @@ class GaussianRational:
 
     Components are exact rationals, held as plain int whenever integral,
     Fraction(n, 1) and reduced Fraction results included (int arithmetic is
-    far cheaper than Fraction and the two mix exactly); any division routes
+    far cheaper than Fraction and the two mix exactly); inverse() routes
     through Fraction.
     """
 
@@ -181,70 +183,32 @@ class GaussianRational:
         n = Fraction(self.norm_sq())
         return GaussianRational(self.re / n, -self.im / n)
 
-    @staticmethod
-    def _coerce(value) -> Optional["GaussianRational"]:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return GaussianRational(a * c)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         result = GaussianRational(1)
+        base = self
         while n:
             if n & 1:
                 result = result * base
@@ -254,8 +218,7 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 

@@ -7,6 +7,10 @@ are exponents of T, which may be negative; the four-variable ``MultiPoly``
 of ``polymaps`` keys by exponent quadruples.  The zero polynomial has no
 valuation or degree: callers branch on ``is_zero`` first rather than relying
 on a sentinel.
+
+Arithmetic takes operands of one type: ``+ - * ==`` pair two polynomials of
+the same class, and a scalar c enters through a constructor, as in
+``p * LaurentPoly.constant(c)``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Iterable, Optional, Union
 from .gaussian import GaussianRational, RationalLike
 
 CoeffLike = Union[int, Fraction, GaussianRational]
-SCALARS = (int, Fraction, GaussianRational)
 
 
 def _coeff(value: CoeffLike) -> GaussianRational:
@@ -34,7 +37,7 @@ class SparsePoly:
     A subclass fixes its monomials: ``_key`` canonicalises one key, ``_ONE``
     is the key of the constant monomial, and ``__mul__`` adds keys.  Every
     other ring operation lives here.  Operands must be of the caller's own
-    class or scalars, so polynomials of two subclasses never mix.
+    class, so polynomials of two subclasses never mix.
     """
 
     __slots__ = ("_terms",)
@@ -98,47 +101,18 @@ class SparsePoly:
                 acc[k] = new
         return self._wrap(acc)
 
-    @classmethod
-    def _coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, SCALARS):
-            return cls.constant(value)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not type(self):
             return NotImplemented
         return self._binary(other, +1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not type(self):
             return NotImplemented
         return self._binary(other, -1)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return self._wrap({k: -c for k, c in self._terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scalar_mul(other)
-        return NotImplemented
-
-    def scalar_mul(self, c: CoeffLike):
-        c = _coeff(c)
-        if c.is_zero:
-            return self.zero()
-        return self._wrap({k: c * v for k, v in self._terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -154,8 +128,7 @@ class SparsePoly:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
@@ -242,12 +215,10 @@ class LaurentPoly(SparsePoly):
             raise ValueError("scaling factor must be nonzero")
         if not self.is_real:
             raise ValueError("apply_scaling is defined for real inputs")
-        return LaurentPoly({e: c * r ** (2 * e + 1) for e, c in self._terms.items()})
+        return LaurentPoly({e: c * GaussianRational(r ** (2 * e + 1)) for e, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scalar_mul(other)
-        if not isinstance(other, LaurentPoly):
+        if type(other) is not LaurentPoly:
             return NotImplemented
         acc: dict[int, GaussianRational] = {}
         for e1, c1 in self._terms.items():
@@ -301,9 +272,10 @@ def geometric_sum(base: LaurentPoly, count: int) -> LaurentPoly:
         raise ValueError("count must be nonnegative")
     acc: dict[int, GaussianRational] = {}
     power = LaurentPoly.one()
-    for _ in range(count):
+    for j in range(count):
+        if j:
+            power = power * base
         for e, c in power.items():
             cur = acc.get(e)
             acc[e] = c if cur is None else cur + c
-        power = power * base
     return LaurentPoly._wrap({e: c for e, c in acc.items() if not c.is_zero})

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .gaussian import GaussianRational
-from .laurent import SCALARS, LaurentPoly, SparsePoly
+from .laurent import LaurentPoly, SparsePoly
 from .matrices import StructuredMatrix
 
 Monomial = tuple[int, int, int, int]
@@ -48,9 +48,7 @@ class MultiPoly(SparsePoly):
         return cls({tuple(mono): 1})
 
     def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scalar_mul(other)
-        if not isinstance(other, MultiPoly):
+        if type(other) is not MultiPoly:
             return NotImplemented
         acc: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self._terms.items():

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from circleforms import (
     FormSpec,
+    GaussianRational,
     LaurentPoly,
     MultiPoly,
     PolyMap,
@@ -174,7 +175,7 @@ def substitute_power(p, scale):
     scale = Fraction(scale)
     if not scale:
         raise ValueError("substitution scale must be nonzero")
-    return LaurentPoly({e: c * scale ** e for e, c in p.items()})
+    return LaurentPoly({e: c * GaussianRational(scale ** e) for e, c in p.items()})
 
 
 def base_rescale(matrix, r):
@@ -184,7 +185,7 @@ def base_rescale(matrix, r):
     if not r:
         raise ValueError("rescale factor must be nonzero")
     r2 = r * r
-    re = r ** matrix.e
+    re = LaurentPoly.constant(r ** matrix.e)
     return StructuredMatrix(
         matrix.e,
         substitute_power(matrix.P, r2),
@@ -206,7 +207,7 @@ def scaling_map(omega, weights):
     images = []
     for i, w in enumerate(weights):
         factor = omega ** w if w >= 0 else omega.conjugate() ** (-w)
-        images.append(MultiPoly.variable(i) * factor)
+        images.append(MultiPoly.variable(i) * MultiPoly.constant(factor))
     return PolyMap(tuple(images))
 
 
@@ -224,6 +225,7 @@ def base_scaling_map(r):
     if not r:
         raise ValueError("base scaling factor must be nonzero")
     v = [MultiPoly.variable(i) for i in range(4)]
+    r = MultiPoly.constant(r)
     return PolyMap((v[0] * r, v[1] * r, v[2], v[3]))
 
 
@@ -265,7 +267,8 @@ def proof_conditions(h, h_target, m, alpha):
         raise ValueError("alpha must be nonzero")
     q_h, s_h, r_h = splitting_entries(FormSpec(m, h))
     q_t, s_t, r_t = splitting_entries(FormSpec(m, h_target))
-    bar_alpha = alpha.conjugate()
+    bar_alpha = LaurentPoly.constant(alpha.conjugate())
+    alpha = LaurentPoly.constant(alpha)
     cond_q = q_t * alpha - q_h * bar_alpha
     cond_s = (s_h * r_t) * alpha - (r_h * s_t) * bar_alpha
     return cond_q.is_polynomial and cond_s.is_polynomial

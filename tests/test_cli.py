@@ -429,7 +429,7 @@ class TestCase12SharedChecks:
 
     def test_non_involution_twist_fails_involution_relations(self, capsys, monkeypatch):
         one, t = LaurentPoly.one(), LaurentPoly.variable()
-        twist = StructuredMatrix(4, one - t, one * 2, -one, one + t + t ** 2 + t ** 3)
+        twist = StructuredMatrix(4, one - t, LaurentPoly.constant(2), -one, one + t + t ** 2 + t ** 3)
         monkeypatch.setattr(forms, "case12_twist", lambda: twist)
         code, out, _ = run(capsys, "case12")
         assert code == 1

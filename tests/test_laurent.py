@@ -51,6 +51,30 @@ class TestArithmetic:
             T ** -1
 
 
+class TestGeometricSum:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
+    def test_value(self, count):
+        base = one + T
+        expected = LaurentPoly.zero()
+        for j in range(count):
+            expected = expected + base ** j
+        assert geometric_sum(base, count) == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
+    def test_multiplies_count_minus_one_times(self, monkeypatch, count):
+        # the powers base^0 .. base^(count-1) need count - 1 products; base^count is never formed
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        geometric_sum(one + T, count)
+        assert len(calls) == max(count - 1, 0)
+
+
 class TestBar:
     def test_conjugates_coefficients(self):
         p = LaurentPoly.monomial(1, GaussianRational(1, 1))
@@ -143,7 +167,7 @@ class TestApplyScaling:
     @given(h=real_polys, r=nonzero_rationals)
     def test_agrees_with_substitution(self, h, r):
         # r * h(r^2 T) computed by substitution instead of coefficientwise
-        substituted = substitute_power(h, r * r) * Fraction(r)
+        substituted = substitute_power(h, r * r) * LaurentPoly.constant(r)
         assert h.apply_scaling(r) == substituted
 
 

@@ -96,7 +96,7 @@ def _random_real_matrix(rng, e):
 
 
 def _combine(u_mat, v_mat):
-    i_unit = GaussianRational(0, 1)
+    i_unit = LaurentPoly.constant(GaussianRational(0, 1))
     entries = [p + q * i_unit for p, q in zip(u_mat.entries(), v_mat.entries())]
     return StructuredMatrix(u_mat.e, *entries)
 
@@ -125,7 +125,7 @@ class TestBlockAssembly:
         # N = U + iV: the residual against gamma splits into the two blocks,
         # with the sign flip on the V block coming from coefficient conjugation
         rng = random.Random(7)
-        i_unit = GaussianRational(0, 1)
+        i_unit = LaurentPoly.constant(GaussianRational(0, 1))
         m_src = make_twist(FormSpec(1, poly(1, 1)))
         m_dst = make_twist(FormSpec(1, poly(2)))
         for _ in range(10):

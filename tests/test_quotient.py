@@ -63,7 +63,7 @@ class TestSubringMembership:
     def test_generators_and_combinations(self):
         t, w, u, _ = make_invariants(1)
         assert in_invariant_subring(t, 1)
-        assert in_invariant_subring(t * w + u * 3, 1)
+        assert in_invariant_subring(t * w + u * MultiPoly.constant(3), 1)
         assert in_invariant_subring(MultiPoly.constant(5), 1)
         assert in_invariant_subring(MultiPoly.zero(), 1)
 
@@ -79,7 +79,8 @@ class TestSubringMembership:
 
     def test_gaussian_coefficients(self):
         t, w, _, _ = make_invariants(1)
-        mixed = t * GaussianRational(1, 2) + w * GaussianRational(0, -1)
+        mixed = (t * MultiPoly.constant(GaussianRational(1, 2))
+                 + w * MultiPoly.constant(GaussianRational(0, -1)))
         assert in_invariant_subring(mixed, 1)
 
 

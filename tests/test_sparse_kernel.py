@@ -2,20 +2,23 @@
 
 The embedding T^j -> (ab)^j of Q(i)[T] into Q(i)[a, b, x, y] is an injective
 ring homomorphism that commutes with conjugation, so every shared operation
-must give the same answer on either side of it.  Operands of the two classes
-never mix.
+must give the same answer on either side of it.  Arithmetic takes operands
+of one type: the two classes never mix, and neither mixes with a scalar.
 """
+
+import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circleforms import LaurentPoly, MultiPoly
+from circleforms import GaussianRational, LaurentPoly, MultiPoly
 from circleforms.laurent import SparsePoly
 
 from strategies import gaussians, poly_laurents
 
-SHARED = ("_binary", "__add__", "__sub__", "__neg__", "scalar_mul", "__pow__",
+SHARED = ("_binary", "__add__", "__sub__", "__neg__", "__pow__",
           "__eq__", "__hash__", "bar")
 
 
@@ -33,13 +36,14 @@ def test_embedding_commutes_with_shared_operations(p, q, n, c):
     assert embed(p * q) == ep * eq
     assert embed(p ** n) == ep ** n
     assert embed(p.bar()) == ep.bar()
-    assert embed(p.scalar_mul(c)) == ep.scalar_mul(c)
-    assert embed(c + p) == c + ep
-    assert embed(c - p) == c - ep
-    assert embed(c * p) == c * ep
+    pc, epc = LaurentPoly.constant(c), MultiPoly.constant(c)
+    assert embed(pc) == epc
+    assert embed(p * pc) == ep * epc
+    assert embed(pc + p) == epc + ep
+    assert embed(pc - p) == epc - ep
     assert (p == q) == (ep == eq)
     assert embed(LaurentPoly(dict(p.items()))) == ep
-    assert hash(p + 0) == hash(p) and hash(ep + 0) == hash(ep)
+    assert hash(p + LaurentPoly.zero()) == hash(p) and hash(ep + MultiPoly.zero()) == hash(ep)
 
 
 def test_laurent_and_multipoly_do_not_mix():
@@ -49,6 +53,21 @@ def test_laurent_and_multipoly_do_not_mix():
         MultiPoly.constant(1) - LaurentPoly.one()
     assert (LaurentPoly.one() == MultiPoly.constant(1)) is False
     assert (MultiPoly.constant(1) == LaurentPoly.one()) is False
+    # Nor does any of them mix with a scalar.  Every value and scalar below
+    # is 1, so an operation that coerced would succeed: a TypeError and a
+    # False ``==`` show that none does.
+    scalars = (1, Fraction(1), GaussianRational(1))
+    for value in (GaussianRational(1), LaurentPoly.one(), MultiPoly.constant(1)):
+        for scalar in scalars:
+            if type(scalar) is type(value):
+                continue
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(value, scalar)
+                with pytest.raises(TypeError):
+                    op(scalar, value)
+            assert (value == scalar) is False and (scalar == value) is False
+            assert value != scalar and scalar != value
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, MultiPoly])
