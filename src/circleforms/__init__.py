@@ -38,7 +38,6 @@ from .equivalence import (
     DecisionResult,
     InternalConsistencyError,
     build_certificate,
-    case_m2_conditions,
     classify,
     decide_equiv,
     equivalence_key,
@@ -69,7 +68,6 @@ __all__ = [
     "case12_checks",
     "case12_conjugator",
     "case12_twist",
-    "case_m2_conditions",
     "classify",
     "compose",
     "conjugators_between",

@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .equivalence import case_m2_conditions, classify, decide_equiv, verify_certificate
+from .equivalence import classify, decide_equiv, verify_certificate
 from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, Rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import search_conjugator
@@ -55,6 +55,23 @@ def linear_vs_twisted() -> tuple[bool, str]:
     if found:
         return False, f"search found {len(found)} conjugators against the verdict"
     return True, "inequivalent by decision, search empty at degree 6 over 10 rescalings"
+
+
+def case_m2_conditions(c0: Rational, c1: Rational,
+                       c0p: Rational, c1p: Rational) -> bool:
+    """Direct transcription of the four m=2 equivalence disjuncts for
+    h = c0 + c1*T versus h' = c0' + c1'*T; an independent re-derivation
+    that m2_condition_grid checks decide_equiv against."""
+    c0, c1, c0p, c1p = (Fraction(v) for v in (c0, c1, c0p, c1p))
+    if c0 == c0p == c1 == c1p == 0:
+        return True
+    if c0 == c0p == 0 and c1 * c1p != 0:
+        return True
+    if c1 == c1p == 0 and c0 * c0p != 0:
+        return True
+    if c0 * c0p * c1 * c1p != 0 and (c0p / c0) ** 3 == c1p / c1:
+        return True
+    return False
 
 
 def m2_condition_grid() -> tuple[bool, str]:

@@ -82,26 +82,21 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
 
+    # h and h2 are real, so each is its real numerators over its denominator
     c = h.truncate_mod(m)
     c2 = h2.truncate_mod(m)
-    support = {e for e, _ in c.items()}
-    support2 = {e for e, _ in c2.items()}
-    if support != support2:
+    if c._re.keys() != c2._re.keys():
         return DecisionResult(False, None, None)
 
-    if not support:
-        witness = Fraction(1)
-        cert = build_certificate(h, h2, m, witness) if with_certificate else None
-        return DecisionResult(True, witness, cert)
-
-    pivot = min(support)
-    rho = {j: Fraction(c.coeff(j).re) / Fraction(c2.coeff(j).re) for j in support}
-    rho_p = rho[pivot]
-    for j in support:
-        if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
-            return DecisionResult(False, None, None)
-
-    witness = rational_odd_root(rho_p, 2 * pivot + 1)
+    witness = Fraction(1)  # an empty support admits every r
+    if c._re:
+        pivot = min(c._re)
+        rho = {j: Fraction(n * c2._den, c2._re[j] * c._den) for j, n in c._re.items()}
+        rho_p = rho[pivot]
+        for j in rho:
+            if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
+                return DecisionResult(False, None, None)
+        witness = rational_odd_root(rho_p, 2 * pivot + 1)
     cert = None
     if witness is not None and with_certificate:
         cert = build_certificate(h, h2, m, witness)
@@ -156,23 +151,6 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     return verify_conjugation(conjugator, src, dst)
 
 
-def case_m2_conditions(c0: Rational, c1: Rational,
-                       c0p: Rational, c1p: Rational) -> bool:
-    """Direct transcription of the four m=2 equivalence disjuncts for
-    h = c0 + c1*T versus h' = c0' + c1'*T; kept as an independent
-    re-derivation to test decide_equiv against."""
-    c0, c1, c0p, c1p = (Fraction(v) for v in (c0, c1, c0p, c1p))
-    if c0 == c0p == c1 == c1p == 0:
-        return True
-    if c0 == c0p == 0 and c1 * c1p != 0:
-        return True
-    if c1 == c1p == 0 and c0 * c0p != 0:
-        return True
-    if c0 * c0p * c1 * c1p != 0 and (c0p / c0) ** 3 == c1p / c1:
-        return True
-    return False
-
-
 def equivalence_key(h: LaurentPoly, m: int) -> tuple:
     """Complete invariant of mu_h: two forms are equivalent exactly when
     their keys are equal.
@@ -185,7 +163,8 @@ def equivalence_key(h: LaurentPoly, m: int) -> tuple:
     if m < 1:
         raise ValueError("m must be a positive integer")
     _require_real_poly(h, "h")
-    coeffs = {e: Fraction(c.re) for e, c in h.truncate_mod(m).items()}
+    c = h.truncate_mod(m)
+    coeffs = {e: Fraction(n, c._den) for e, n in c._re.items()}
     support = tuple(sorted(coeffs))
     if not support:
         return (), ()

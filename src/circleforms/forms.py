@@ -97,10 +97,9 @@ def splitting_entries(spec: FormSpec) -> tuple[LaurentPoly, LaurentPoly, Laurent
     m, h = spec.m, spec.h
     th2 = LaurentPoly.variable() * h * h
     t_neg_m = LaurentPoly.monomial(-m)
-    q = h * t_neg_m
-    s = h * geometric_sum(th2, m) * t_neg_m
-    r = geometric_sum(th2, m + 1)
-    return q, s, r
+    below_m = geometric_sum(th2, m)
+    # sum_{j<=m} (Th^2)^j = 1 + Th^2 * sum_{j<m} (Th^2)^j
+    return h * t_neg_m, h * below_m * t_neg_m, LaurentPoly.one() + th2 * below_m
 
 
 def make_splitting(spec: FormSpec) -> StructuredMatrix:
@@ -172,25 +171,16 @@ def case12_twist() -> StructuredMatrix:
 def case12_conjugator() -> StructuredMatrix:
     """The exact matrix with non-real coefficients that conjugates the
     weight-(1,2) circle form to the linear one."""
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    p = LaurentPoly.from_coeffs([
-        GaussianRational(1),
-        GaussianRational(-half, half),          # -(1-i)/2
-        GaussianRational(-quarter, -quarter),   # -(1+i)/4
-    ])
-    q = LaurentPoly.constant(GaussianRational(quarter, -quarter))  # (1-i)/4
-    s = LaurentPoly.from_coeffs([
-        GaussianRational(-3 * quarter, quarter),   # -(3-i)/4
-        GaussianRational(-quarter, -quarter),      # -(1+i)/4
-    ])
-    r = LaurentPoly.from_coeffs([
-        GaussianRational(1),
-        GaussianRational(half, -half),             # (1-i)/2
-        GaussianRational(quarter, -quarter),       # (1-i)/4
-        GaussianRational(quarter, -quarter),       # (1-i)/4
-    ])
-    return StructuredMatrix(CASE12_CROSS_EXPONENT, p, q, s, r)
+    def quarters(*coeffs):
+        """The polynomial with ascending coefficients (re + im*i) / 4."""
+        return LaurentPoly.from_coeffs([GaussianRational(Fraction(re, 4), Fraction(im, 4))
+                                        for re, im in coeffs])
+
+    return StructuredMatrix(CASE12_CROSS_EXPONENT,
+                            quarters((4, 0), (-2, 2), (-1, -1)),
+                            quarters((1, -1)),
+                            quarters((-3, 1), (-1, -1)),
+                            quarters((4, 0), (2, -2), (1, -1), (1, -1)))
 
 
 def verify_case12_bundle(twist: StructuredMatrix) -> bool:

@@ -135,6 +135,21 @@ def rational_odd_root(q: RationalLike, k: int) -> Optional[Fraction]:
     return Fraction(num if q >= 0 else -num, den)
 
 
+def power(base, n: int, one):
+    """base ** n by repeated squaring, for an int n >= 0 and the unit `one`
+    of base's ring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 class GaussianRational:
     """An element re + im*i of Q(i).  Immutable; equality is structural.
 
@@ -147,18 +162,15 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        if type(re) is not int:
-            if type(re) is not Fraction:
-                re = Fraction(re)
-            if re.denominator == 1:
-                re = re.numerator
-        if type(im) is not int:
-            if type(im) is not Fraction:
-                im = Fraction(im)
-            if im.denominator == 1:
-                im = im.numerator
-        self.re = re
-        self.im = im
+        parts = []
+        for x in (re, im):
+            if type(x) is not int:
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                if x.denominator == 1:
+                    x = x.numerator
+            parts.append(x)
+        self.re, self.im = parts
 
     @property
     def is_zero(self) -> bool:
@@ -205,17 +217,7 @@ class GaussianRational:
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, GaussianRational(1))
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:

@@ -1,12 +1,24 @@
-"""Sparse polynomials over Q(i): the shared kernel ``SparsePoly`` and the
-Laurent polynomials in one variable T built on it.
+"""Sparse polynomials over Q(i): the shared integer kernel ``SparsePoly`` and
+the Laurent polynomials in one variable T built on it.
 
-Terms live in a dict {monomial key: coefficient}; stored coefficients are
-never zero, and the zero polynomial is the empty dict.  ``LaurentPoly`` keys
-are exponents of T, which may be negative; the four-variable ``MultiPoly``
-of ``polymaps`` keys by exponent quadruples.  The zero polynomial has no
-valuation or degree: callers branch on ``is_zero`` first rather than relying
-on a sentinel.
+A value is integers over one common denominator: ``_re`` maps each monomial
+key to the numerator of the real part of its coefficient, ``_im`` does the
+same for the imaginary part (empty when no coefficient has one), and
+``_den`` > 0 is coprime to the numerators taken together.  No stored
+numerator is zero, so every value has one representation; the zero
+polynomial is ({}, {}, 1) and has no valuation or degree (callers branch on
+``is_zero`` first).  ``LaurentPoly`` keys are exponents of T, which may
+be negative; the four-variable ``MultiPoly`` of ``polymaps`` packs its
+exponent quadruple into one int.  ``GaussianRational`` is the scalar type at
+the boundary: the constructors take it (or an int or Fraction), and
+``coeff`` and ``items`` return it.
+
+Laurent products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009): each
+operand is evaluated at 2^B, with B wide enough for every coefficient of the
+product, the two ints are multiplied once, and the signed base-2^B digits of
+the result are the product's numerators.  With imaginary parts,
+(a + bi)(c + di) takes the three products ac, bd and (a + b)(c + d).
 
 Arithmetic takes operands of one type: ``+ - * ==`` pair two polynomials of
 the same class, and a scalar c enters through a constructor, as in
@@ -16,52 +28,55 @@ the same class, and a scalar c enters through a constructor, as in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .gaussian import GaussianRational, RationalLike
+from .gaussian import GaussianRational, RationalLike, power
 
 CoeffLike = Union[int, Fraction, GaussianRational]
 
 
-def _coeff(value: CoeffLike) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
 class SparsePoly:
-    """Sparse polynomial over Q(i): a dict {monomial key: coefficient} in
-    which no stored coefficient is zero, so the zero polynomial is the empty
-    dict.
+    """Sparse polynomial over Q(i) on the integer store described above.
 
-    A subclass fixes its monomials: ``_key`` canonicalises one key, ``_ONE``
-    is the key of the constant monomial, and ``__mul__`` adds keys.  Every
-    other ring operation lives here.  Operands must be of the caller's own
-    class, so polynomials of two subclasses never mix.
+    A subclass fixes its monomials: ``_key`` turns a monomial into its key,
+    ``_unkey`` turns it back, ``_ONE`` is the constant monomial, ``_NAMES``
+    are the variables, and ``__mul__`` multiplies.  Every other ring operation lives here.
+    Operands must be of the caller's own class, so polynomials of two
+    subclasses never mix.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, terms: Optional[dict] = None):
-        canon = {}
-        if terms:
-            key = self._key
-            for k, c in terms.items():
-                c = _coeff(c)
-                if not c.is_zero:
-                    canon[key(k)] = c
-        self._terms = canon
+        coeffs = {}
+        for k, c in (terms or {}).items():
+            coeffs[self._key(k)] = c if type(c) is GaussianRational else GaussianRational(c)
+        # the numerators over the lcm of the denominators have no common factor with it
+        den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+        self._re, self._im, self._den = {}, {}, den
+        for k, c in coeffs.items():
+            if c.re:
+                self._re[k] = c.re.numerator * (den // c.re.denominator)
+            if c.im:
+                self._im[k] = c.im.numerator * (den // c.im.denominator)
 
     @classmethod
-    def _wrap(cls, terms: dict):
-        """An instance holding `terms`, which must already be canonical."""
+    def _make(cls, re: dict, im: dict, den: int = 1):
+        """The value with nonzero numerators re and im over den, brought to
+        lowest terms."""
+        g = gcd(den, *re.values(), *im.values()) if den != 1 else 1
         out = cls.__new__(cls)
-        out._terms = terms
+        if g != 1:
+            den //= g
+            re = {k: c // g for k, c in re.items()}
+            im = {k: c // g for k, c in im.items()}
+        out._re, out._im, out._den = re, im, den
         return out
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._make({}, {})
 
     @classmethod
     def constant(cls, c: CoeffLike):
@@ -71,35 +86,50 @@ class SparsePoly:
     def monomial(cls, key, c: CoeffLike = 1):
         return cls({key: c})
 
-    def items(self):
-        return self._terms.items()
+    def _keys(self):
+        return self._re.keys() | self._im.keys() if self._im else self._re.keys()
+
+    def coeff(self, mono) -> GaussianRational:
+        """The coefficient of a monomial; zero when absent."""
+        k = self._key(mono)
+        re, im = self._re.get(k, 0), self._im.get(k, 0)
+        if self._den == 1:
+            return GaussianRational(re, im)
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+
+    def items(self) -> list:
+        """(monomial, coefficient) for each term, in ascending monomial order."""
+        return [(mono, self.coeff(mono)) for mono in map(self._unkey, sorted(self._keys()))]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._re and not self._im
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self._terms.values())
+        return not self._im
 
     def bar(self):
         """Coefficientwise complex conjugation; the variables are fixed."""
-        if self.is_real:
+        if not self._im:
             return self
-        return self._wrap({k: c.conjugate() for k, c in self._terms.items()})
+        return self._make(self._re, {k: -c for k, c in self._im.items()}, self._den)
 
     def _binary(self, other, sign: int):
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = acc.get(k)
-            new = c if sign > 0 else -c
-            if cur is not None:
-                new = cur + new
-            if new.is_zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = new
-        return self._wrap(acc)
+        """self + sign*other over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, sign * (den // other._den)
+        parts = []
+        for x, y in ((self._re, other._re), (self._im, other._im)):
+            acc = {k: f * c for k, c in x.items()} if f != 1 else dict(x)
+            for k, c in y.items():
+                c = acc.get(k, 0) + g * c
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
+            parts.append(acc)
+        return self._make(*parts, den)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -112,31 +142,79 @@ class SparsePoly:
         return self._binary(other, -1)
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self._terms.items()})
+        return self.zero() - self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, self.constant(1))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._re.items()), frozenset(self._im.items())))
+
+    def __str__(self):
+        """The terms as (c)*v^e factors, in ascending monomial order."""
+        parts = []
+        for mono, c in self.items():
+            factors = [f"({c})"]
+            for name, e in zip(self._NAMES, mono if type(mono) is tuple else (mono,)):
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            parts.append("*".join(factors))
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+# Kronecker packing splits a packed value of more than this many bits in
+# two, so packing and reading cost n log n in its length n rather than n^2;
+# below it plain shifts are faster.
+_SPLIT = 1 << 12
+
+
+def _evaluate(terms, low: int, bits: int) -> int:
+    """sum c * 2^(bits*(k - low)) over (k, c) terms, none below low."""
+    if len(terms) < 2 or len(terms) * bits <= _SPLIT:
+        value = 0
+        for k, c in terms:
+            value += c << bits * (k - low)
+        return value
+    terms = sorted(terms)
+    half = len(terms) // 2
+    mid = terms[half][0]
+    upper = _evaluate(terms[half:], mid, bits)
+    return _evaluate(terms[:half], low, bits) + (upper << bits * (mid - low))
+
+
+def _unpack(value: int, low: int, bits: int) -> dict:
+    """{low + j: d_j} for the signed digits |d_j| < 2^(bits-1) of value =
+    sum d_j 2^(bits*j); zero digits are left out."""
+    count = value.bit_length() // bits + 1
+    if count > 1 and value.bit_length() > _SPLIT:
+        # the lower half of the digits is the remainder of least magnitude
+        shift = bits * (count // 2)
+        lower = value & ((1 << shift) - 1)
+        if lower >> (shift - 1):
+            lower -= 1 << shift
+        upper = _unpack((value - lower) >> shift, low + count // 2, bits)
+        return {**_unpack(lower, low, bits), **upper}
+    out = {}
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:
+            digit -= full
+            value += 1
+        if digit:
+            out[low] = digit
+        low += 1
+    return out
 
 
 class LaurentPoly(SparsePoly):
@@ -145,56 +223,50 @@ class LaurentPoly(SparsePoly):
 
     __slots__ = ()
 
-    _key = int
+    _key = _unkey = int
     _ONE = 0
+    _NAMES = ("T",)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._make({0: 1}, {})
 
     @classmethod
     def variable(cls) -> "LaurentPoly":
         """The generator T."""
-        return cls({1: 1})
+        return cls._make({1: 1}, {})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[CoeffLike], valuation: int = 0) -> "LaurentPoly":
         """Build from an ascending coefficient list starting at `valuation`."""
         return cls({valuation + j: c for j, c in enumerate(coeffs)})
 
-    def sorted_items(self):
-        return sorted(self._terms.items())
-
     @property
     def is_polynomial(self) -> bool:
         """True when no negative exponent occurs (the zero polynomial counts)."""
-        return all(e >= 0 for e in self._terms)
+        return min(self._keys(), default=0) >= 0
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {0}
-
-    def coeff(self, exp: int) -> GaussianRational:
-        """Coefficient at T^exp; zero for absent exponents."""
-        c = self._terms.get(exp)
-        return c if c is not None else GaussianRational(0)
+        return self._keys() <= {0}
 
     def valuation(self) -> int:
-        if not self._terms:
+        if self.is_zero:
             raise ValueError("the zero polynomial has no valuation")
-        return min(self._terms)
+        return min(self._keys())
 
     def degree(self) -> int:
-        if not self._terms:
+        if self.is_zero:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._terms)
+        return max(self._keys())
 
     def monomial_parts(self) -> Optional[tuple[GaussianRational, int]]:
         """(c, k) when the value is a single term c*T^k, else None."""
-        if len(self._terms) != 1:
+        keys = self._keys()
+        if len(keys) != 1:
             return None
-        ((exp, c),) = self._terms.items()
-        return c, exp
+        (exp,) = keys
+        return self.coeff(exp), exp
 
     def truncate_mod(self, m: int) -> "LaurentPoly":
         """Reduce a polynomial mod T^m: drop every term of exponent >= m."""
@@ -202,7 +274,8 @@ class LaurentPoly(SparsePoly):
             raise ValueError("modulus exponent must be positive")
         if not self.is_polynomial:
             raise ValueError("truncate_mod needs a polynomial, not a Laurent value")
-        return LaurentPoly({e: c for e, c in self._terms.items() if e < m})
+        return self._make(*({e: c for e, c in part.items() if e < m}
+                            for part in (self._re, self._im)), self._den)
 
     def apply_scaling(self, r: RationalLike) -> "LaurentPoly":
         """r * p(r^2 T), computed coefficientwise: c_j -> r^(2j+1) * c_j.
@@ -215,67 +288,61 @@ class LaurentPoly(SparsePoly):
             raise ValueError("scaling factor must be nonzero")
         if not self.is_real:
             raise ValueError("apply_scaling is defined for real inputs")
-        return LaurentPoly({e: c * GaussianRational(r ** (2 * e + 1)) for e, c in self._terms.items()})
+        return LaurentPoly({e: Fraction(c, self._den) * r ** (2 * e + 1)
+                            for e, c in self._re.items()})
 
     def __mul__(self, other):
         if type(other) is not LaurentPoly:
             return NotImplemented
-        acc: dict[int, GaussianRational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                cur = acc.get(e)
-                acc[e] = p if cur is None else cur + p
-        out = LaurentPoly()
-        out._terms = {e: c for e, c in acc.items() if not c.is_zero}
-        return out
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_items():
-            if e == 0:
-                parts.append(f"({c})")
-            elif e == 1:
-                parts.append(f"({c})*T")
-            else:
-                parts.append(f"({c})*T^{e}")
-        return " + ".join(parts)
+        if self.is_zero or other.is_zero:
+            return LaurentPoly.zero()
+        # a product coefficient sums at most min(terms) products of real or
+        # imaginary parts, so its real and imaginary |numerator| < 2^(bits-1)
+        bound = 2 * min(len(self._re) + len(self._im), len(other._re) + len(other._im))
+        for p in (self, other):
+            bound *= max(map(abs, (*p._re.values(), *p._im.values())))
+        bits = bound.bit_length() + 1
+        # each factor is T^low * (re + i*im)(T), re and im evaluated at 2^bits
+        packed, low = [], 0
+        for p in (self, other):
+            valuation = min(p._keys())
+            for part in (p._re, p._im):
+                packed.append(_evaluate(part.items(), valuation, bits) if part else 0)
+            low += valuation
+        x, y, z, w = packed
+        xz, yw = x * z, y * w
+        im = _unpack((x + y) * (z + w) - xz - yw, low, bits) if y or w else {}
+        return LaurentPoly._make(_unpack(xz - yw, low, bits), im, self._den * other._den)
 
     def to_json(self):
         """Ascending coefficient array for polynomials; otherwise
         {"valuation": v, "coeffs": [...]}."""
         if self.is_zero:
             return []
-        lo, hi = self.valuation(), self.degree()
-        if lo >= 0:
-            return [self.coeff(e).to_json() for e in range(0, hi + 1)]
-        return {"valuation": lo, "coeffs": [self.coeff(e).to_json() for e in range(lo, hi + 1)]}
+        lo = min(self.valuation(), 0)
+        coeffs = [self.coeff(e).to_json() for e in range(lo, self.degree() + 1)]
+        return coeffs if lo == 0 else {"valuation": lo, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
         if isinstance(obj, list):
-            return cls.from_coeffs([GaussianRational.from_json(c) for c in obj])
-        if isinstance(obj, dict) and "valuation" in obj and "coeffs" in obj:
-            if type(obj["valuation"]) is not int:
-                raise ValueError(f"valuation must be a JSON integer: {obj['valuation']!r}")
-            coeffs = [GaussianRational.from_json(c) for c in obj["coeffs"]]
-            return cls.from_coeffs(coeffs, valuation=obj["valuation"])
-        raise ValueError(f"not a Laurent polynomial object: {obj!r}")
+            obj = {"valuation": 0, "coeffs": obj}
+        if not (isinstance(obj, dict) and "valuation" in obj and "coeffs" in obj):
+            raise ValueError(f"not a Laurent polynomial object: {obj!r}")
+        if type(obj["valuation"]) is not int:
+            raise ValueError(f"valuation must be a JSON integer: {obj['valuation']!r}")
+        return cls.from_coeffs([GaussianRational.from_json(c) for c in obj["coeffs"]],
+                               valuation=obj["valuation"])
 
 
 def geometric_sum(base: LaurentPoly, count: int) -> LaurentPoly:
     """sum_{j=0}^{count-1} base^j  (the empty sum is 0, count=1 gives 1)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    acc: dict[int, GaussianRational] = {}
+    total = LaurentPoly.zero()
     power = LaurentPoly.one()
     for j in range(count):
         if j:
             power = power * base
-        for e, c in power.items():
-            cur = acc.get(e)
-            acc[e] = c if cur is None else cur + c
-    return LaurentPoly._wrap({e: c for e, c in acc.items() if not c.is_zero})
+        total = total + power
+    return total

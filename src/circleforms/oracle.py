@@ -34,8 +34,8 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .forms import FormSpec, make_twist, verify_conjugation
-from .gaussian import GaussianRational, Rational
-from .laurent import LaurentPoly
+from .gaussian import Rational
+from .laurent import LaurentPoly, _evaluate
 from .matrices import StructuredMatrix
 
 VarLabel = tuple[str, int, str]  # (entry P/Q/S/R, exponent, "re" or "im")
@@ -141,72 +141,59 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     width = deg_bound + 1
     component = "re" if sign > 0 else "im"
     labels: list[VarLabel] = [(entry, j, component) for entry in ENTRIES for j in range(width)]
-    var = {(entry, j): ENTRIES.index(entry) * width + j for entry in ENTRIES for j in range(width)}
 
     polys = [*m_src.entries(), *m_dst.entries()]
     for idx, p in enumerate(polys):
         if not p.is_real:
             side = "source" if idx < 4 else "target"
             raise ValueError(f"{side} {ENTRIES[idx % 4]} must be real for the split search")
-    den = lcm(*(c.re.denominator for p in polys for _, c in p.items()))
-    scaled = [{k: c.re.numerator * (den // c.re.denominator) for k, c in p.items()}
-              for p in polys]
-    src = dict(zip(ENTRIES, scaled[:4]))
-    dst = dict(zip(ENTRIES, scaled[4:]))
+    den = lcm(*(p._den for p in polys))
+    scaled = [{k: c * (den // p._den) for k, c in p._re.items()} for p in polys]
+    P, Q, S, R = scaled[:4]
+    P2, Q2, S2, R2 = scaled[4:]
+    p, q, s, r = range(4)  # the entries of X, in column-block order
 
     # X * M_src entries, with X = (p, q, s, r) unknown:
     #   P: p*P + T^e q*S      Q: p*Q + q*R
     #   S: s*P + r*S          R: T^e s*Q + r*R
-    # sign * M_dst * swap(X), swap(X) = (r, s, q, p):
-    #   P: P'*r + T^e Q'*q    Q: P'*s + Q'*p
-    #   S: S'*r + R'*q        R: T^e S'*s + R'*p
-    terms = {
-        "P": [("P", src["P"], 1, 0), ("Q", src["S"], 1, e),
-              ("R", dst["P"], -sign, 0), ("Q", dst["Q"], -sign, e)],
-        "Q": [("P", src["Q"], 1, 0), ("Q", src["R"], 1, 0),
-              ("S", dst["P"], -sign, 0), ("P", dst["Q"], -sign, 0)],
-        "S": [("S", src["P"], 1, 0), ("R", src["S"], 1, 0),
-              ("R", dst["S"], -sign, 0), ("Q", dst["R"], -sign, 0)],
-        "R": [("S", src["Q"], 1, e), ("R", src["R"], 1, 0),
-              ("S", dst["S"], -sign, e), ("P", dst["R"], -sign, 0)],
-    }
+    # sign * M_dst * swap(X), M_dst = (P2, Q2, S2, R2), swap(X) = (r, s, q, p):
+    #   P: P2*r + T^e Q2*q    Q: P2*s + Q2*p
+    #   S: S2*r + R2*q        R: T^e S2*s + R2*p
+    # as (unknown, its known coefficients, factor, power of T) per entry
+    terms = [
+        [(p, P, 1, 0), (q, S, 1, e), (r, P2, -sign, 0), (q, Q2, -sign, e)],
+        [(p, Q, 1, 0), (q, R, 1, 0), (s, P2, -sign, 0), (p, Q2, -sign, 0)],
+        [(s, P, 1, 0), (r, S, 1, 0), (r, S2, -sign, 0), (q, R2, -sign, 0)],
+        [(s, Q, 1, e), (r, R, 1, 0), (s, S2, -sign, e), (p, R2, -sign, 0)],
+    ]
 
     rows: list[list[int]] = []
-    for entry, products in terms.items():
-        by_exponent: dict[int, dict[int, int]] = {}
+    for products in terms:
+        by_exponent: dict[int, list[int]] = {}
         for unknown, coeffs, factor, shift in products:
-            for j in range(width):
-                col = var[(unknown, j)]
-                for k, coeff in coeffs.items():
-                    t = j + k + shift
-                    row = by_exponent.setdefault(t, {})
-                    row[col] = row.get(col, 0) + factor * coeff
-        for t in sorted(by_exponent):
-            dense = [0] * len(labels)
-            nonzero = False
-            for col, coeff in by_exponent[t].items():
-                if coeff:
-                    dense[col] = coeff
-                    nonzero = True
-            if nonzero:
-                rows.append(dense)
+            col = unknown * width
+            for k, coeff in coeffs.items():
+                for j in range(width):
+                    row = by_exponent.get(j + k + shift)
+                    if row is None:
+                        row = by_exponent[j + k + shift] = [0] * len(labels)
+                    row[col + j] += factor * coeff
+        rows += [by_exponent[t] for t in sorted(by_exponent) if any(by_exponent[t])]
     return LinearSystem(rows=rows, labels=labels)
 
 
-def _build_matrix(e: int, re_vec: Optional[Sequence[Fraction]],
-                  im_vec: Optional[Sequence[Fraction]], deg_bound: int) -> StructuredMatrix:
-    """The matrix whose coefficients are laid out in re_vec and im_vec as in
-    the conjugation blocks (None for a zero part)."""
+def _build_matrix(e: int, u: Optional[Sequence[int]], v: Optional[Sequence[int]],
+                  deg_bound: int, den: int = 1) -> StructuredMatrix:
+    """The matrix (U + iV) / den for integer coefficient vectors U and V laid
+    out as in the conjugation blocks (None for a zero part)."""
     width = deg_bound + 1
     polys = []
-    for idx in range(4):
-        terms = {}
-        for j in range(idx * width, (idx + 1) * width):
-            re = 0 if re_vec is None else re_vec[j]
-            im = 0 if im_vec is None else im_vec[j]
-            if re or im:
-                terms[j - idx * width] = GaussianRational(re, im)
-        polys.append(LaurentPoly(terms))
+    for k in range(4):
+        parts = []
+        for vec in (u, v):
+            parts.append({j: x for j, x in enumerate(vec[k * width:(k + 1) * width]) if x}
+                         if vec else {})
+        polys.append(LaurentPoly._make(*parts, den))
     return StructuredMatrix(e, *polys)
 
 
@@ -225,8 +212,8 @@ def _candidates(re_basis: Sequence[Sequence[Fraction]],
     def pair_sums(basis):
         for i, (a, da) in enumerate(basis):
             for b, db in basis[i + 1:]:
-                yield [db * x + da * y for x, y in zip(a, b)], da * db
-                yield [db * x - da * y for x, y in zip(a, b)], da * db
+                for s in (da, -da):
+                    yield [db * x + s * y for x, y in zip(a, b)], da * db
 
     for u, du in re_int:
         yield u, None, du
@@ -244,53 +231,30 @@ def _candidates(re_basis: Sequence[Sequence[Fraction]],
             yield uu, [-y for y in vv], du * dv
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two dense ascending integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _det_parts(p: list[int], r: list[int], q: list[int], s: list[int],
-               e: int) -> list[int]:
-    """Coefficients of P*R - T^e*Q*S for dense integer entries."""
-    out = _poly_mul(p, r)
-    qs = _poly_mul(q, s)
-    out += [0] * (e + len(qs) - len(out))
-    for k, c in enumerate(qs):
-        out[e + k] -= c
-    return out
-
-
 def _det_is_unit(e: int, width: int, u: Optional[Sequence[int]],
                  v: Optional[Sequence[int]]) -> bool:
     """Whether det(U + iV) is a nonzero constant, for integer coefficient
     vectors laid out as in the conjugation blocks (None for a zero part).
-    Computed with dense integer products; a common scale c of U and V
-    multiplies det by c^2, which changes neither property."""
-    def entries(vec):
-        return [vec[k * width:(k + 1) * width] for k in range(4)]
 
-    if u is None or v is None:
-        # det(U) or det(iV) = -det(V): one real determinant
-        p, q, s, r = entries(u if v is None else v)
-        det = _det_parts(p, r, q, s, e)
-        return bool(det[0]) and not any(det[1:])
-    pu, qu, su, ru = entries(u)
-    pv, qv, sv, rv = entries(v)
+    Each entry is packed into one int at X = 2^bits (Kronecker substitution,
+    as in ``laurent``), with bits wide enough that every coefficient of the
+    real and imaginary parts of det is a signed digit below 2^(bits-1); a
+    part is then constant exactly when its packed value is below that.  A
+    common scale c of U and V multiplies det by c^2, which changes neither
+    property."""
+    height = max(map(abs, (u or []) + (v or [])))
+    bits = (4 * width * height * height).bit_length() + 1
+    packed = []
+    for vec in (u, v):
+        for k in range(4):
+            packed.append(_evaluate(list(enumerate(vec[k * width:(k + 1) * width])), 0, bits)
+                          if vec else 0)
     # (Pu + iPv)(Ru + iRv) - T^e (Qu + iQv)(Su + iSv), split into parts
-    re_uu = _det_parts(pu, ru, qu, su, e)
-    re_vv = _det_parts(pv, rv, qv, sv, e)
-    if any(a != b for a, b in zip(re_uu[1:], re_vv[1:])):
-        return False
-    im_a = _det_parts(pu, rv, qu, sv, e)
-    im_b = _det_parts(pv, ru, qv, su, e)
-    if any(a + b for a, b in zip(im_a[1:], im_b[1:])):
-        return False
-    return bool(re_uu[0] - re_vv[0]) or bool(im_a[0] + im_b[0])
+    pu, qu, su, ru, pv, qv, sv, rv = packed
+    re = pu * ru - pv * rv - (qu * su - qv * sv << bits * e)
+    im = pu * rv + pv * ru - (qu * sv + qv * su << bits * e)
+    half = 1 << bits - 1
+    return abs(re) < half and abs(im) < half and bool(re or im)
 
 
 def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
@@ -312,9 +276,7 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     for u, v, c in _candidates(re_basis, im_basis):
         if not _det_is_unit(e, width, u, v):
             continue
-        re_vec = None if u is None else [Fraction(x, c) for x in u]
-        im_vec = None if v is None else [Fraction(y, c) for y in v]
-        matrix = _build_matrix(e, re_vec, im_vec, deg_bound)
+        matrix = _build_matrix(e, u, v, deg_bound, c)
         if matrix in seen:
             continue
         if verify_conjugation(matrix, m_src, m_dst):

@@ -16,9 +16,11 @@ checks.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import cache, reduce
+from operator import or_
 from typing import Sequence
 
-from .gaussian import GaussianRational
 from .laurent import LaurentPoly, SparsePoly
 from .matrices import StructuredMatrix
 
@@ -26,122 +28,109 @@ Monomial = tuple[int, int, int, int]
 
 VAR_NAMES = ("a", "b", "x", "y")
 
+# A monomial a^i b^j x^k y^l is the key i<<3W | j<<2W | k<<W | l, so key
+# order is the order of exponent tuples and a monomial product is one add.
+# Exponents stay below 2^EXP_BITS, and 2*EXP_BITS + 3 <= W: no product or
+# substitution of such keys carries from one field into the next, so a
+# result beyond the bound is caught before it is stored.
+_W = 64
+_MASK = (1 << _W) - 1
+EXP_BITS = 28
+# the bits at and above EXP_BITS in each of the four fields
+_HIGH = ((1 << _W) - (1 << EXP_BITS)) * ((1 << 4 * _W) - 1) // _MASK
+_T = 1 << 3 * _W | 1 << 2 * _W  # the key of T = ab
+
+
+def _unkey(key: int) -> Monomial:
+    return key >> 3 * _W, key >> 2 * _W & _MASK, key >> _W & _MASK, key & _MASK
+
+
+def _made(re: dict, im: dict, den: int) -> "MultiPoly":
+    """The value with numerators re and im over den, zeros dropped, after
+    checking that every exponent is below 2^EXP_BITS."""
+    p = MultiPoly._make({k: c for k, c in re.items() if c}, {k: c for k, c in im.items() if c}, den)
+    if reduce(or_, p._keys(), 0) & _HIGH:
+        raise OverflowError(f"a MultiPoly exponent reached 2^{EXP_BITS}")
+    return p
+
+
+def _conv(acc: defaultdict, x: dict, y: dict, sign: int = 1) -> defaultdict:
+    """acc + sign * x * y for numerator dicts keyed by packed monomials."""
+    for k1, c1 in x.items():
+        c1 *= sign
+        for k2, c2 in y.items():
+            acc[k1 + k2] += c1 * c2
+    return acc
+
 
 class MultiPoly(SparsePoly):
-    """Polynomial in a, b, x, y over Q(i); sparse map from exponent quadruples."""
+    """Polynomial in a, b, x, y over Q(i) on the ``laurent`` integer store,
+    keyed by packed exponent quadruples."""
 
     __slots__ = ()
 
     _ONE = (0, 0, 0, 0)
+    _NAMES = VAR_NAMES
+    _unkey = staticmethod(_unkey)
 
     @staticmethod
-    def _key(mono) -> Monomial:
-        mono = tuple(int(e) for e in mono)
-        if len(mono) != 4 or any(e < 0 for e in mono):
+    def _key(mono) -> int:
+        mono = tuple(map(int, mono))
+        if len(mono) != 4 or not 0 <= min(mono) <= max(mono) < 1 << EXP_BITS:
             raise ValueError(f"bad exponent quadruple: {mono}")
-        return mono
+        a, b, x, y = mono
+        return a << 3 * _W | b << 2 * _W | x << _W | y
 
     @classmethod
     def variable(cls, index: int) -> "MultiPoly":
-        mono = [0, 0, 0, 0]
-        mono[index] = 1
-        return cls({tuple(mono): 1})
+        return cls._make({1 << _W * (3 - index): 1}, {})
 
     def __mul__(self, other):
         if type(other) is not MultiPoly:
             return NotImplemented
-        acc: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            a1, b1, x1, y1 = m1
-            for m2, c2 in other._terms.items():
-                m = (a1 + m2[0], b1 + m2[1], x1 + m2[2], y1 + m2[3])
-                p = c1 * c2
-                cur = acc.get(m)
-                acc[m] = p if cur is None else cur + p
-        out = MultiPoly()
-        out._terms = {m: c for m, c in acc.items() if not c.is_zero}
-        return out
+        a, b, c, d = self._re, self._im, other._re, other._im
+        re, im = _conv(defaultdict(int), a, c), _conv(defaultdict(int), d, a)
+        _conv(re, b, d, -1)
+        _conv(im, b, c)
+        return _made(re, im, self._den * other._den)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Evaluate at images = (image of a, of b, of x, of y).
 
-        An image that is a single term c*v enters a term of self by adding
-        exponents and multiplying by a cached power of c (by nothing when
-        c = 1); only the powers of multi-term images are multiplied out,
-        once each.  Every term accumulates into one dict."""
+        An image that is a bare monomial (coefficient 1) enters by adding
+        exponents.  The terms of self are grouped by their exponents at the
+        other images, and each group is multiplied once by the cached
+        powers of those images."""
         if len(images) != 4:
             raise ValueError("need exactly four images")
-        # For a single-term image, (its exponents, its coefficient or None
-        # when that is 1); None for a zero or multi-term image.
-        singles = []
-        for img in images:
-            single = None
-            if len(img._terms) == 1:
-                ((mono, c),) = img._terms.items()
-                single = (mono, None if c.re == 1 and not c.im else c)
-            singles.append(single)
-        pow_cache: dict[tuple[int, int], object] = {}
-
-        def power(i: int, n: int):
-            """images[i] ** n, or the n-th power of its coefficient when it
-            is a single term."""
-            got = pow_cache.get((i, n))
-            if got is None:
-                single = singles[i]
-                got = images[i] ** n if single is None else single[1] ** n
-                pow_cache[i, n] = got
-            return got
-
-        acc: dict[Monomial, GaussianRational] = {}
-        for mono, c in self._terms.items():
-            a = b = x = y = 0
-            product = None
-            for i, exp in enumerate(mono):
-                if not exp:
-                    continue
-                single = singles[i]
-                if single is None:
-                    factor = power(i, exp)
-                    product = factor if product is None else product * factor
-                    continue
-                m = single[0]
-                a += exp * m[0]
-                b += exp * m[1]
-                x += exp * m[2]
-                y += exp * m[3]
-                if single[1] is not None:
-                    c = c * power(i, exp)
-            if product is None:
-                key = (a, b, x, y)
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-                continue
-            for m, pc in product._terms.items():
-                key = (a + m[0], b + m[1], x + m[2], y + m[3])
-                p = c * pc
-                cur = acc.get(key)
-                acc[key] = p if cur is None else cur + p
-        return MultiPoly._wrap({m: c for m, c in acc.items() if not c.is_zero})
+        slots, others = [], []  # (position, key) of each bare monomial; the rest
+        for i, img in enumerate(images):
+            if img._den == 1 and not img._im and list(img._re.values()) == [1]:
+                slots.append((i, next(iter(img._re))))
+            else:
+                others.append(i)
+        groups = {}
+        for part, numerators in enumerate((self._re, self._im)):
+            for key, c in numerators.items():
+                exps = _unkey(key)
+                shift = 0
+                for i, unit in slots:
+                    shift += exps[i] * unit
+                acc = groups.setdefault(tuple(map(exps.__getitem__, others)), ({}, {}))[part]
+                acc[shift] = acc.get(shift, 0) + c
+        power = cache(lambda i, n: images[i] ** n)
+        total = MultiPoly.zero()
+        for rest, (re, im) in groups.items():
+            term = _made(re, im, self._den)
+            for i, n in zip(others, rest):
+                if n:
+                    term = term * power(i, n)
+            total = total + term
+        return total
 
     def weighted_degrees(self, weights: Sequence[int]) -> set[int]:
         """The set of weighted degrees of the monomials present."""
-        return {
-            sum(e * w for e, w in zip(mono, weights)) for mono in self._terms
-        }
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(self._terms.items()):
-            factors = [f"({c})"]
-            for name, e in zip(VAR_NAMES, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return {sum(e * w for e, w in zip(_unkey(k), weights)) for k in self._keys()}
 
 
 class PolyMap:
@@ -223,15 +212,13 @@ def expand(matrix: StructuredMatrix) -> PolyMap:
         if not entry.is_polynomial:
             raise ValueError("cannot expand a matrix with Laurent entries")
 
-    def tpow(p: LaurentPoly, extra_a: int, extra_b: int) -> MultiPoly:
-        # c*T^j -> c * a^(j+extra_a) * b^(j+extra_b), since T = ab.
-        return MultiPoly({(j + extra_a, j + extra_b, 0, 0): c for j, c in p.items()})
+    a, b, x, y = 1 << 3 * _W, 1 << 2 * _W, 1 << _W, 1  # the keys of the variables
 
-    a_img = MultiPoly.variable(0)
-    b_img = MultiPoly.variable(1)
-    x_var = MultiPoly.variable(2)
-    y_var = MultiPoly.variable(3)
-    x_img = tpow(matrix.P, 0, 0) * x_var + tpow(matrix.Q, e, 0) * y_var
-    y_img = tpow(matrix.S, 0, e) * x_var + tpow(matrix.R, 0, 0) * y_var
-    return PolyMap((a_img, b_img, x_img, y_img))
+    def times(p: LaurentPoly, key: int) -> MultiPoly:
+        """p(T) times the monomial of the given key."""
+        return _made({j * _T + key: c for j, c in p._re.items()},
+                     {j * _T + key: c for j, c in p._im.items()}, p._den)
 
+    x_img = times(matrix.P, x) + times(matrix.Q, e * a + y)
+    y_img = times(matrix.S, e * b + x) + times(matrix.R, y)
+    return PolyMap((MultiPoly.variable(0), MultiPoly.variable(1), x_img, y_img))

@@ -1,12 +1,15 @@
 """Reference oracle: rational Gauss-Jordan elimination and the candidate scan
-on ``Fraction`` vectors, kept as the slow path that the integer routines in
-``circleforms.oracle`` are checked against.  ``fraction_solve_linear`` runs the
-reference membership test in ``reference_paths``.  Not used by the package."""
+on ``Fraction`` vectors, with each candidate built through the public
+``LaurentPoly`` constructor (``fraction_matrix``), kept as the slow path that
+the integer routines in ``circleforms.oracle`` are checked against.
+``fraction_solve_linear`` runs the reference membership test in
+``reference_paths``.  Not used by the package."""
 
 from fractions import Fraction
 from typing import Optional
 
-from circleforms.oracle import _build_matrix, _conjugation_block, verify_conjugation
+from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
+from circleforms.oracle import _conjugation_block, verify_conjugation
 
 
 def fraction_rref(rows, ncols):
@@ -85,6 +88,22 @@ def reference_candidates(re_basis, im_basis):
     return candidates
 
 
+def fraction_matrix(e, re_vec, im_vec, deg_bound):
+    """The matrix whose Fraction coefficients are laid out in re_vec and
+    im_vec as in the conjugation blocks (None for a zero part), built
+    through the public constructor."""
+    width = deg_bound + 1
+    entries = []
+    for k in range(4):
+        terms = {}
+        for j in range(width):
+            re = 0 if re_vec is None else re_vec[k * width + j]
+            im = 0 if im_vec is None else im_vec[k * width + j]
+            terms[j] = GaussianRational(re, im)
+        entries.append(LaurentPoly(terms))
+    return StructuredMatrix(e, *entries)
+
+
 def reference_bases(m_src, m_dst, deg_bound):
     ncols = 4 * (deg_bound + 1)
     return tuple(fraction_nullspace(_conjugation_block(m_src, m_dst, deg_bound, sign).rows, ncols)
@@ -97,7 +116,7 @@ def reference_conjugators_between(m_src, m_dst, deg_bound):
     found = []
     seen = set()
     for re_vec, im_vec in reference_candidates(*reference_bases(m_src, m_dst, deg_bound)):
-        matrix = _build_matrix(m_src.e, re_vec, im_vec, deg_bound)
+        matrix = fraction_matrix(m_src.e, re_vec, im_vec, deg_bound)
         det = matrix.det()
         if det.is_zero or not det.is_constant:
             continue

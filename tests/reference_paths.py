@@ -16,6 +16,10 @@ by the package.
 * ``substitute_by_products``: ``MultiPoly.substitute`` as one polynomial
   product per variable of every term, summed term by term, against which
   the package's monomial path for single-term images is cross-checked.
+* ``DictLaurent`` and ``DictMulti`` (on ``DictSparse``): the sparse kernel
+  as it was before the integer store, a dict {monomial: GaussianRational}
+  with schoolbook products and a termwise ``substitute``, against which
+  ``LaurentPoly`` and ``MultiPoly`` are cross-checked operation by operation.
 
 Helpers that only the tests need:
 
@@ -272,3 +276,113 @@ def proof_conditions(h, h_target, m, alpha):
     cond_q = q_t * alpha - q_h * bar_alpha
     cond_s = (s_h * r_t) * alpha - (r_h * s_t) * bar_alpha
     return cond_q.is_polynomial and cond_s.is_polynomial
+
+
+class DictSparse:
+    """Sparse polynomial over Q(i) as a dict {monomial: GaussianRational}
+    with no zero value; subclasses fix ``_key`` and ``__mul__``."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        self._terms = {}
+        for k, c in (terms or {}).items():
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+            if not c.is_zero:
+                self._terms[self._key(k)] = c
+
+    @classmethod
+    def _wrap(cls, terms):
+        out = cls.__new__(cls)
+        out._terms = {k: c for k, c in terms.items() if not c.is_zero}
+        return out
+
+    @classmethod
+    def of(cls, poly):
+        """The reference value of a package polynomial."""
+        return cls(dict(poly.items()))
+
+    def items(self):
+        return sorted(self._terms.items())
+
+    def bar(self):
+        return self._wrap({k: c.conjugate() for k, c in self._terms.items()})
+
+    def _binary(self, other, sign):
+        acc = dict(self._terms)
+        for k, c in other._terms.items():
+            c = c if sign > 0 else -c
+            acc[k] = acc[k] + c if k in acc else c
+        return self._wrap(acc)
+
+    def __add__(self, other):
+        return self._binary(other, +1)
+
+    def __sub__(self, other):
+        return self._binary(other, -1)
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self._terms.items()})
+
+    def __pow__(self, n):
+        result = type(self)({self._ONE: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+
+class DictLaurent(DictSparse):
+    __slots__ = ()
+    _key = int
+    _ONE = 0
+
+    def __mul__(self, other):
+        acc = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                p = c1 * c2
+                acc[e1 + e2] = acc[e1 + e2] + p if e1 + e2 in acc else p
+        return self._wrap(acc)
+
+    def truncate_mod(self, m):
+        return self._wrap({e: c for e, c in self._terms.items() if e < m})
+
+
+class DictMulti(DictSparse):
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0)
+
+    @staticmethod
+    def _key(mono):
+        return tuple(int(e) for e in mono)
+
+    def __mul__(self, other):
+        acc = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                p = c1 * c2
+                acc[m] = acc[m] + p if m in acc else p
+        return self._wrap(acc)
+
+    def substitute(self, images):
+        """Evaluate at four images: a single-term image c*v enters a term by
+        adding exponents and a power of c, a longer one by its power."""
+        total = DictMulti()
+        for mono, c in self._terms.items():
+            term = DictMulti({(0, 0, 0, 0): c})
+            for img, exp in zip(images, mono):
+                if len(img._terms) == 1:
+                    ((m, ic),) = img._terms.items()
+                    shifted = tuple(exp * e for e in m)
+                    term = term * DictMulti({shifted: ic ** exp})
+                else:
+                    term = term * img ** exp
+            total = total + term
+        return total

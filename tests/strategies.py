@@ -6,7 +6,7 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
+from circleforms import GaussianRational, LaurentPoly, MultiPoly, StructuredMatrix
 
 from reference_paths import diagonal
 
@@ -22,6 +22,24 @@ nonzero_laurents = laurents.filter(lambda p: not p.is_zero)
 
 real_polys = st.lists(rationals, min_size=0, max_size=4).map(LaurentPoly.from_coeffs)
 poly_laurents = st.dictionaries(st.integers(0, 5), gaussians, max_size=4).map(LaurentPoly)
+
+multis = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    gaussians,
+    max_size=4,
+).map(MultiPoly)
+
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+# An image is zero, a constant, a single term (its coefficient 1 or any
+# nonzero element of Q(i)) or several terms: the cases substitute tells apart.
+substitute_images = st.one_of(
+    st.just(MultiPoly.zero()),
+    nonzero_gaussians.map(MultiPoly.constant),
+    st.builds(MultiPoly.monomial, monomials,
+              st.one_of(st.just(GaussianRational(1)), nonzero_gaussians)),
+    st.dictionaries(monomials, nonzero_gaussians, min_size=2, max_size=3).map(MultiPoly),
+)
 
 
 def structured(e_values=(3, 4, 5), entry_strategy=poly_laurents):

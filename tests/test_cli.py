@@ -307,6 +307,36 @@ class TestMCap:
         assert f"1..{cli.MAX_M}" in capsys.readouterr().out
 
 
+def exit_and_streams(capsys, parse, argv):
+    """The exit status and captured (stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserBuiltOnce:
+    def test_one_build_serves_every_call(self, capsys):
+        cli.build_parser.cache_clear()
+        assert run(capsys, "quotient", "--m", "1")[0] == 0
+        assert exit_and_streams(capsys, main, ["verify-form", "--m", "1"])[0] == 2
+        assert run(capsys, "case12", "--json")[0] == 0
+        assert run(capsys, "verify-form", "--m", "0", "--h", "1")[0] == 2
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["oracle", "--help"], ["verify-form", "--m", "1"],
+        ["equiv", "--m", "2", "--h", "-1,2", "--hp", "1"], ["nope"], [],
+    ])
+    def test_help_and_usage_bytes_match_a_fresh_parser(self, capsys, argv):
+        main(["case12"])  # the shared parser has parsed before
+        capsys.readouterr()
+        shared = exit_and_streams(capsys, main, argv)
+        fresh = exit_and_streams(capsys, cli.build_parser.__wrapped__().parse_args, argv)
+        assert shared == fresh
+        assert exit_and_streams(capsys, main, argv) == shared
+
+
 def count_calls(monkeypatch, name, *modules):
     """Replace `name` in each module by one counting wrapper of the original
     in the first; return the list that collects one entry per call."""

@@ -11,7 +11,6 @@ from circleforms import (
     LaurentPoly,
     StructuredMatrix,
     build_certificate,
-    case_m2_conditions,
     classify,
     decide_equiv,
     make_splitting,
@@ -19,6 +18,7 @@ from circleforms import (
     verify_certificate,
 )
 from circleforms import equivalence
+from circleforms.acceptance import case_m2_conditions
 from circleforms.equivalence import InternalConsistencyError, equivalence_key
 
 from reference_paths import conjugates_by_inverse, pairwise_classify

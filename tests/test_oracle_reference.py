@@ -30,6 +30,7 @@ from circleforms.oracle import (
 )
 
 from reference_oracle import (
+    fraction_matrix,
     fraction_nullspace,
     fraction_rref,
     reference_bases,
@@ -130,7 +131,8 @@ class TestScanAgainstReference:
             for (u, v, c), (ref_u, ref_v) in zip(new, ref):
                 assert (None if u is None else [F(x, c) for x in u]) == ref_u
                 assert (None if v is None else [F(y, c) for y in v]) == ref_v
-                det = _build_matrix(m_src.e, ref_u, ref_v, deg).det()
+                det = fraction_matrix(m_src.e, ref_u, ref_v, deg).det()
+                assert _build_matrix(m_src.e, u, v, deg, c).det() == det
                 unit = not det.is_zero and det.is_constant
                 assert _det_is_unit(m_src.e, deg + 1, u, v) == unit
                 survivors += unit
@@ -147,8 +149,7 @@ class TestScanAgainstReference:
         assert any(u) and any(v)
         assert _det_is_unit(4, width, u, v)
         for pair in ((u, v), (u, [-y for y in v]), (v, u), (u, None), (None, v)):
-            as_fractions = [None if w is None else [F(x) for x in w] for w in pair]
-            det = _build_matrix(4, *as_fractions, width - 1).det()
+            det = _build_matrix(4, *pair, width - 1).det()
             assert _det_is_unit(4, width, *pair) == (not det.is_zero and det.is_constant)
 
     @given(st.sampled_from((3, 4, 5)), st.integers(1, 3), st.data())
@@ -158,8 +159,7 @@ class TestScanAgainstReference:
                        max_size=4 * width)
         u = data.draw(st.one_of(st.none(), vec))
         v = data.draw(vec if u is None else st.one_of(st.none(), vec))
-        as_fractions = [None if w is None else [F(x) for x in w] for w in (u, v)]
-        det = _build_matrix(e, *as_fractions, width - 1).det()
+        det = _build_matrix(e, u, v, width - 1).det()
         assert _det_is_unit(e, width, u, v) == (not det.is_zero and det.is_constant)
 
     @pytest.mark.parametrize("m,h,h2,deg,grid,in_grid", SEARCHES)

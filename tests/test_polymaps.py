@@ -26,27 +26,17 @@ from reference_paths import (
     scaling_map,
     substitute_by_products,
 )
-from strategies import gaussians, nonzero_gaussians, nonzero_rationals, real_polys, structured
+from strategies import (
+    gaussians,
+    multis,
+    nonzero_gaussians,
+    nonzero_rationals,
+    real_polys,
+    structured,
+    substitute_images,
+)
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
-
-multis = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
-    gaussians,
-    max_size=4,
-).map(MultiPoly)
-
-monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-
-# An image is zero, a constant, a single term (its coefficient 1 or any
-# nonzero element of Q(i)) or several terms: the cases substitute tells apart.
-substitute_images = st.one_of(
-    st.just(MultiPoly.zero()),
-    nonzero_gaussians.map(MultiPoly.constant),
-    st.builds(MultiPoly.monomial, monomials,
-              st.one_of(st.just(GaussianRational(1)), nonzero_gaussians)),
-    st.dictionaries(monomials, nonzero_gaussians, min_size=2, max_size=3).map(MultiPoly),
-)
 
 poly_structured = structured(e_values=(3, 5), entry_strategy=st.dictionaries(
     st.integers(0, 2), gaussians, max_size=3).map(LaurentPoly))

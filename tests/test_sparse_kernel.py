@@ -1,5 +1,10 @@
 """The sparse-polynomial kernel shared by ``LaurentPoly`` and ``MultiPoly``.
 
+Every operation agrees with the dict kernel it replaced (``DictLaurent`` and
+``DictMulti`` in ``reference_paths``), on the shared strategies and on wide
+values whose coefficients need many bits and whose Kronecker digits sit at
+the edge of their range.
+
 The embedding T^j -> (ab)^j of Q(i)[T] into Q(i)[a, b, x, y] is an injective
 ring homomorphism that commutes with conjugation, so every shared operation
 must give the same answer on either side of it.  Arithmetic takes operands
@@ -7,6 +12,7 @@ of one type: the two classes never mix, and neither mixes with a scalar.
 """
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +22,91 @@ from hypothesis import strategies as st
 from circleforms import GaussianRational, LaurentPoly, MultiPoly
 from circleforms.laurent import SparsePoly
 
-from strategies import gaussians, poly_laurents
+from reference_paths import DictLaurent, DictMulti
+from strategies import gaussians, laurents, multis, poly_laurents, substitute_images
+
+# Rationals of up to about 80 bits over denominators of up to 40 bits, and
+# Laurent values with up to 12 terms spread over T^-30 .. T^30.
+wide_rationals = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 40))
+wide_gaussians = st.builds(GaussianRational, wide_rationals,
+                           st.one_of(st.just(0), wide_rationals))
+wide_laurents = st.dictionaries(st.integers(-30, 30), st.one_of(gaussians, wide_gaussians),
+                                max_size=12).map(LaurentPoly)
+
+
+def agree(reference, value):
+    """The package value and the reference value have the same terms."""
+    return reference.items() == value.items()
+
+
+def check_ring_operations(p, q, n, ref):
+    """Every operation of p and q, with p ** n, agrees with the reference."""
+    rp, rq = ref.of(p), ref.of(q)
+    assert agree(rp + rq, p + q)
+    assert agree(rp - rq, p - q)
+    assert agree(-rp, -p)
+    assert agree(rp * rq, p * q)
+    assert agree(rp ** n, p ** n)
+    assert agree(rp.bar(), p.bar())
+    assert (p == q) == (rp == rq)
+    assert p.is_zero == (not rp.items()) and p.is_real == all(c.is_real for _, c in rp.items())
+    assert p + q - q == p and hash(p + q - q) == hash(p)
+
+
+@given(p=st.one_of(laurents, wide_laurents), q=st.one_of(laurents, wide_laurents),
+       n=st.integers(0, 3), m=st.integers(1, 6))
+def test_laurent_agrees_with_dict_kernel(p, q, n, m):
+    check_ring_operations(p, q, n, DictLaurent)
+    if p.is_polynomial:
+        assert agree(DictLaurent.of(p).truncate_mod(m), p.truncate_mod(m))
+
+
+@pytest.mark.parametrize("low", [-3, 0, 5])
+@pytest.mark.parametrize("bits", [1, 7, 8, 31, 64, 65])
+def test_kronecker_digits_at_the_edge_of_their_range(low, bits):
+    # all-(+-)(2^bits - 1) operands make product numerators close to 2^(B-1)
+    for signs in ((1, 1, 1), (1, -1, 1), (-1, -1, -1), (1, 1, -1)):
+        p = LaurentPoly.from_coeffs([s * (2 ** bits - 1) for s in signs], valuation=low)
+        for q in (p, p.bar(), -p, p * LaurentPoly.constant(GaussianRational(1, -1))):
+            assert agree(DictLaurent.of(p) * DictLaurent.of(q), p * q)
+
+
+@pytest.mark.parametrize("count,span,bits", [(200, 200, 8), (3, 3, 3000), (20, 1000, 4)])
+def test_long_products_agree_with_dict_kernel(count, span, bits):
+    # packed values beyond 4096 bits: many digits, wide digits, and a sparse
+    # span, each split in two while packing and reading
+    rng = random.Random(count * span + bits)
+
+    def value(imaginary):
+        def number():
+            return rng.randint(-2 ** bits, 2 ** bits)
+        return LaurentPoly({rng.randint(-span // 2, span): GaussianRational(
+            number(), number() if imaginary else 0) for _ in range(count)})
+
+    for imaginary in (False, True):
+        p, q = value(imaginary), value(imaginary)
+        assert agree(DictLaurent.of(p) * DictLaurent.of(q), p * q)
+        assert agree(DictLaurent.of(p) * DictLaurent.of(p.bar()), p * p.bar())
+
+
+@given(p=multis, q=multis, n=st.integers(0, 2), images=st.tuples(*[substitute_images] * 4))
+def test_multipoly_agrees_with_dict_kernel(p, q, n, images):
+    check_ring_operations(p, q, n, DictMulti)
+    reference = DictMulti.of(p).substitute([DictMulti.of(img) for img in images])
+    assert agree(reference, p.substitute(images))
+
+
+def test_exponents_beyond_the_packed_field_are_refused():
+    a = MultiPoly.variable(0)
+    big = a ** (2 ** 27)
+    assert big.items() == [((2 ** 27, 0, 0, 0), GaussianRational(1))]
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        big.substitute((a ** 2, a, a, a))
+    with pytest.raises(ValueError):
+        MultiPoly.monomial((2 ** 28, 0, 0, 0))
+
 
 SHARED = ("_binary", "__add__", "__sub__", "__neg__", "__pow__",
           "__eq__", "__hash__", "bar")
