@@ -16,7 +16,7 @@ from typing import Callable
 
 from .equivalence import classify, decide_equiv, verify_certificate
 from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
-from .gaussian import GaussianRational, Rational
+from .gaussian import GaussianRational, RationalLike
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import search_conjugator
@@ -57,8 +57,8 @@ def linear_vs_twisted() -> tuple[bool, str]:
     return True, "inequivalent by decision, search empty at degree 6 over 10 rescalings"
 
 
-def case_m2_conditions(c0: Rational, c1: Rational,
-                       c0p: Rational, c1p: Rational) -> bool:
+def case_m2_conditions(c0: RationalLike, c1: RationalLike,
+                       c0p: RationalLike, c1p: RationalLike) -> bool:
     """Direct transcription of the four m=2 equivalence disjuncts for
     h = c0 + c1*T versus h' = c0' + c1'*T; an independent re-derivation
     that m2_condition_grid checks decide_equiv against."""
@@ -265,11 +265,11 @@ CRITERIA: list[Criterion] = [
 ]
 
 
-def run_all(report=print) -> bool:
-    """Run every criterion, emit one PASS/FAIL line each, return overall."""
+def run_all() -> bool:
+    """Run every criterion, print one PASS/FAIL line each, return overall."""
     all_ok = True
     for key, _description, func in CRITERIA:
         ok, detail = func()
-        report(f"{'PASS' if ok else 'FAIL'} {key}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {key}: {detail}")
         all_ok = all_ok and ok
     return all_ok

@@ -84,8 +84,9 @@ def parse_r_grid(text: str) -> list[Fraction]:
 
 
 # Largest --m the command line accepts (FormSpec takes any m).  With h = 1 + T
-# on 2 cores under CPython 3.11, verify-form and equiv each take about 0.3 s at
-# m = 64, process start included, and decide_equiv about 1.8 s at m = 200.
+# on 2 cores under CPython 3.11, verify-form takes about 0.25 s and equiv about
+# 0.2 s at m = 64, process start included, and decide_equiv about 1.8 s at
+# m = 200.
 MAX_M = 64
 
 
@@ -105,8 +106,28 @@ def _write_json(path: str, obj) -> None:
         raise UsageError(f"cannot write {path}: {exc}")
 
 
+def _load_file(path: Optional[str], what: str, read):
+    """read(document) of the --file JSON document; a missing flag and any
+    failure to open, parse or read the document are usage errors."""
+    if not path:
+        raise UsageError(f"--file with a {what} JSON document is required")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(json.load(fh))
+    except _LOAD_ERRORS as exc:
+        raise UsageError(f"cannot load {what}: {exc}")
+
+
+def _read_forms(doc) -> list[LaurentPoly]:
+    """{"forms": [...]} or the bare list of ascending coefficient lists."""
+    raw_forms = doc["forms"] if isinstance(doc, dict) else doc
+    if not isinstance(raw_forms, list) or not all(isinstance(c, list) for c in raw_forms):
+        raise ValueError("forms must be a list of coefficient lists")
+    return [LaurentPoly.from_coeffs([json_rational(c) for c in coeffs]) for coeffs in raw_forms]
+
+
 def _emit(args, human_lines: Sequence[str], payload) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(canonical_json(payload))
     else:
         for line in human_lines:
@@ -154,15 +175,8 @@ def cmd_verify_certificate(args) -> int:
     m = _require_m(args.m)
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
-    if not args.file:
-        raise UsageError("--file with a certificate JSON document is required")
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        r = json_rational(doc["r"])
-        conj = StructuredMatrix.from_json(doc["N"])
-    except _LOAD_ERRORS as exc:
-        raise UsageError(f"cannot load certificate: {exc}")
+    r, conj = _load_file(args.file, "certificate", lambda doc: (
+        json_rational(doc["r"]), StructuredMatrix.from_json(doc["N"])))
     if conj.e != 2 * m + 1:
         raise UsageError(f"certificate matrix has e = {conj.e}, expected {2 * m + 1} for m = {m}")
     ok = verify_certificate(h, h2, m, r, conj)
@@ -173,18 +187,7 @@ def cmd_verify_certificate(args) -> int:
 
 def cmd_classify(args) -> int:
     m = _require_m(args.m)
-    if not args.file:
-        raise UsageError("--file with a forms JSON document is required")
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        raw_forms = doc["forms"] if isinstance(doc, dict) else doc
-        if not isinstance(raw_forms, list) or not all(isinstance(c, list) for c in raw_forms):
-            raise ValueError("forms must be a list of coefficient lists")
-        forms = [LaurentPoly.from_coeffs([json_rational(c) for c in coeffs])
-                 for coeffs in raw_forms]
-    except _LOAD_ERRORS as exc:
-        raise UsageError(f"cannot load forms: {exc}")
+    forms = _load_file(args.file, "forms", _read_forms)
     classes = equivalence.classify(forms, m)
     lines = [f"{len(forms)} forms fall into {len(classes)} classes"]
     for idx, members in enumerate(classes):
@@ -250,9 +253,41 @@ def cmd_quotient(args) -> int:
 def cmd_selftest(args) -> int:
     from . import acceptance  # imported here: no other subcommand needs it
 
-    ok = acceptance.run_all(report=print)
+    ok = acceptance.run_all()
     print("selftest: all criteria passed" if ok else "selftest: FAILURES above")
     return 0 if ok else 1
+
+
+# Each option as argparse takes it: its flag and its add_argument keywords.
+OPTIONS = {
+    "--m": dict(type=int, required=True,
+                help=f"family parameter m, 1..{MAX_M} (fiber weight 2m+1)"),
+    "--h": dict(required=True, help="ascending rational coefficients of h, e.g. '1,2'"),
+    "--hp": dict(required=True, help="ascending rational coefficients of the second form"),
+    "--file": dict(help="input JSON document"),
+    "--deg": dict(type=int, default=6,
+                  help=f"degree bound for conjugator entries, 0..{MAX_DEG_BOUND} (default 6)"),
+    "--r-grid": dict(default="1,-1", help="comma-separated nonzero rationals (default '1,-1')"),
+    "--out": dict(help="write JSON result to this path"),
+    "--json": dict(action="store_true", help="print canonical JSON instead of text"),
+}
+
+# Each subcommand: its name, handler, help line and options, in help order;
+# every subcommand also takes --json.
+COMMANDS = (
+    ("verify-form", cmd_verify_form, "verify that h defines a real circle form", ("--m", "--h")),
+    ("equiv", cmd_equiv, "decide equivalence of two forms; exit 0 iff equivalent",
+     ("--m", "--h", "--hp", "--out")),
+    ("verify-certificate", cmd_verify_certificate, "re-verify a stored conjugation certificate",
+     ("--m", "--h", "--hp", "--file")),
+    ("classify", cmd_classify, "partition a JSON list of forms into equivalence classes",
+     ("--m", "--file")),
+    ("oracle", cmd_oracle, "brute-force bounded-degree conjugator search",
+     ("--m", "--h", "--hp", "--deg", "--r-grid", "--out")),
+    ("case12", cmd_case12, "verify the weight-(1,2) linearization", ()),
+    ("quotient", cmd_quotient, "invariant generators and quotient relation", ("--m",)),
+    ("selftest", cmd_selftest, "run the full acceptance criteria registry", ()),
+)
 
 
 @functools.cache
@@ -265,50 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "real circle forms on affine four-space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *, m=False, h=False, hp=False, file=False,
-            deg=False, r_grid=False, out=False):
+    for name, func, help_text, options in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if m:
-            p.add_argument("--m", type=int, required=True,
-                           help=f"family parameter m, 1..{MAX_M} (fiber weight 2m+1)")
-        if h:
-            p.add_argument("--h", required=True,
-                           help="ascending rational coefficients of h, e.g. '1,2'")
-        if hp:
-            p.add_argument("--hp", required=True,
-                           help="ascending rational coefficients of the second form")
-        if file:
-            p.add_argument("--file", help="input JSON document")
-        if deg:
-            p.add_argument("--deg", type=int, default=6,
-                           help="degree bound for conjugator entries, "
-                                f"0..{MAX_DEG_BOUND} (default 6)")
-        if r_grid:
-            p.add_argument("--r-grid", dest="r_grid", default="1,-1",
-                           help="comma-separated nonzero rationals (default '1,-1')")
-        if out:
-            p.add_argument("--out", help="write JSON result to this path")
-        p.add_argument("--json", action="store_true",
-                       help="print canonical JSON instead of text")
+        for flag in (*options, "--json"):
+            p.add_argument(flag, **OPTIONS[flag])
         p.set_defaults(func=func)
-        return p
-
-    add("verify-form", cmd_verify_form,
-        "verify that h defines a real circle form", m=True, h=True)
-    add("equiv", cmd_equiv,
-        "decide equivalence of two forms; exit 0 iff equivalent",
-        m=True, h=True, hp=True, out=True)
-    add("verify-certificate", cmd_verify_certificate,
-        "re-verify a stored conjugation certificate", m=True, h=True, hp=True, file=True)
-    add("classify", cmd_classify,
-        "partition a JSON list of forms into equivalence classes", m=True, file=True)
-    add("oracle", cmd_oracle,
-        "brute-force bounded-degree conjugator search",
-        m=True, h=True, hp=True, deg=True, r_grid=True, out=True)
-    add("case12", cmd_case12, "verify the weight-(1,2) linearization")
-    add("quotient", cmd_quotient, "invariant generators and quotient relation", m=True)
-    add("selftest", cmd_selftest, "run the full acceptance criteria registry")
     return parser
 
 

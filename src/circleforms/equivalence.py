@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import FormSpec, _require_real_poly, make_splitting, make_twist, verify_conjugation
-from .gaussian import Rational, format_rational, rational_odd_root
+from .gaussian import RationalLike, as_rational, format_rational, rational_odd_root
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 
@@ -46,8 +46,8 @@ class InternalConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class DecisionResult:
     equivalent: bool
-    rational_witness: Optional[Rational]
-    certificate: Optional[tuple[Rational, StructuredMatrix]]
+    rational_witness: Optional[Fraction]
+    certificate: Optional[tuple[Fraction, StructuredMatrix]]
 
     def __post_init__(self):
         if self.certificate is not None and self.rational_witness is None:
@@ -104,7 +104,7 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
 
 
 def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
-                      r: Rational) -> tuple[Rational, StructuredMatrix]:
+                      r: RationalLike) -> tuple[Fraction, StructuredMatrix]:
     """Produce (r, N) with N * M_h = M_h'' * gamma(N) for h'' = r*h2(r^2 T).
 
     N = K_h'' * K_h^-1 is computed in the Laurent group and must come out
@@ -112,7 +112,7 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     here and a failure raises, since the theory guarantees success whenever
     the preconditions hold.
     """
-    r = Fraction(r)
+    r = as_rational(r)
     if not r:
         raise ValueError("witness r must be nonzero")
     _require_real_poly(h, "h")
@@ -138,12 +138,12 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
 
 
 def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
-                       r: Rational, conjugator: StructuredMatrix) -> bool:
+                       r: RationalLike, conjugator: StructuredMatrix) -> bool:
     """Independent re-check of a stored certificate (r, N): r != 0, N of
     cross-exponent 2m+1, and verify_conjugation(N, M_h, M_h'')."""
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
-    r = Fraction(r)
+    r = as_rational(r)
     if not r or conjugator.e != 2 * m + 1:
         return False
     src = make_twist(FormSpec(m, h))

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import PolyMap, compose, expand, is_involution, weight_check
+from .polymaps import MultiPoly, PolyMap, compose, expand, is_involution, weight_check
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -132,8 +132,10 @@ def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
 
 
 def linear_circle_form() -> PolyMap:
-    """mu_0: coordinate swap composed with conjugation; the linear circle form."""
-    return PolyMap(PolyMap.coordinate_swap().images, conjugates_input=True)
+    """mu_0: the coordinate swap (a, b, x, y) -> (b, a, y, x) composed with
+    conjugation; the linear circle form."""
+    a, b, x, y = (MultiPoly.variable(i) for i in range(4))
+    return PolyMap((b, a, y, x), conjugates_input=True)
 
 
 def make_circle_form(twist: StructuredMatrix) -> PolyMap:

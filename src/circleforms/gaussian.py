@@ -6,6 +6,9 @@ imaginary unit on top and is the coefficient field for every symbolic
 computation in this package.  No floating point anywhere.  Its ``+ - * ==``
 take two GaussianRationals: an int or Fraction enters through the
 constructor GaussianRational(re, im), and ``==`` with a plain scalar is False.
+Every library entry point that takes a rational takes an int or a Fraction
+only (``as_rational``): a float or a string raises TypeError, so no inexact
+value and no unchecked text gets in.
 
 parse_rational is the one reader of the text form of a rational (command
 line and JSON) and format_rational the one writer.  Both refuse a numerator
@@ -20,12 +23,11 @@ import sys
 from fractions import Fraction
 from typing import Optional, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 # The text forms fractions.Fraction reads: a sign, then digits over an
-# optional denominator, or a decimal with an optional exponent.
+# optional denominator, or a decimal with an optional exponent.  As in
+# Fraction, a digit is any Unicode decimal digit ("١" reads as 1).
 _RATIONAL_TEXT = re.compile(r"""
     \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
     (?:/(?P<den>\d+(?:_\d+)*)
@@ -83,6 +85,17 @@ def json_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def as_rational(x: RationalLike) -> Fraction:
+    """x as a Fraction, for an int or a Fraction.  Anything else raises
+    TypeError: a float has no exact value, and text goes through
+    parse_rational, which caps its length."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"a rational must be an int or a Fraction, not {type(x).__name__}: {x!r}")
+    return Fraction(x)
+
+
 class DigitLimitError(ValueError):
     """Raised by format_rational alone: the rational has a numerator or
     denominator longer than sys.get_int_max_str_digits() allows to print."""
@@ -90,7 +103,7 @@ class DigitLimitError(ValueError):
 
 def format_rational(q: RationalLike) -> str:
     """Render a rational as "num/den", omitting the denominator when 1."""
-    q = Fraction(q)
+    q = as_rational(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)
@@ -125,7 +138,7 @@ def rational_odd_root(q: RationalLike, k: int) -> Optional[Fraction]:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
-    q = Fraction(q)
+    q = as_rational(q)
     num = integer_kth_root(abs(q.numerator), k)
     if num is None:
         return None
@@ -165,8 +178,7 @@ class GaussianRational:
         parts = []
         for x in (re, im):
             if type(x) is not int:
-                if type(x) is not Fraction:
-                    x = Fraction(x)
+                x = as_rational(x)
                 if x.denominator == 1:
                     x = x.numerator
             parts.append(x)

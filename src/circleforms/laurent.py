@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .gaussian import GaussianRational, RationalLike, power
+from .gaussian import GaussianRational, RationalLike, as_rational, power
 
 CoeffLike = Union[int, Fraction, GaussianRational]
 
@@ -260,14 +260,6 @@ class LaurentPoly(SparsePoly):
             raise ValueError("the zero polynomial has no degree")
         return max(self._keys())
 
-    def monomial_parts(self) -> Optional[tuple[GaussianRational, int]]:
-        """(c, k) when the value is a single term c*T^k, else None."""
-        keys = self._keys()
-        if len(keys) != 1:
-            return None
-        (exp,) = keys
-        return self.coeff(exp), exp
-
     def truncate_mod(self, m: int) -> "LaurentPoly":
         """Reduce a polynomial mod T^m: drop every term of exponent >= m."""
         if m < 1:
@@ -283,7 +275,7 @@ class LaurentPoly(SparsePoly):
         Defined termwise rather than by substitution so it stays exact and
         total on truncated inputs; the two definitions agree on polynomials.
         """
-        r = Fraction(r)
+        r = as_rational(r)
         if not r:
             raise ValueError("scaling factor must be nonzero")
         if not self.is_real:

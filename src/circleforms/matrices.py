@@ -8,7 +8,8 @@ both the weight-(2, 2m+1) family (e = 2m+1) and the weight-(1, 2) case
 
 The polynomial group Lambda, tested by in_lambda(), holds the matrices whose
 entries are polynomial in T and whose det is a nonzero constant.  The
-splitting matrices K_h are Laurent with det 1, so they lie outside it.
+splitting matrices K_h are Laurent with det 1, so they lie outside it;
+inverse() is the SL_2 adjugate and takes det-1 matrices only.
 
 The Galois twist gamma sends (P, Q, S, R) to (bar R, bar S, bar Q, bar P);
 the holomorphic bundle twist does the same swap without conjugation.
@@ -63,19 +64,11 @@ class StructuredMatrix:
         return StructuredMatrix(self.e, self.R, self.S, self.Q, self.P)
 
     def inverse(self) -> "StructuredMatrix":
-        """Exact inverse; requires the determinant to be a Laurent unit c*T^k."""
-        parts = self.det().monomial_parts()
-        if parts is None:
-            raise ValueError("matrix determinant is not a unit c*T^k; no inverse here")
-        c, k = parts
-        scale = LaurentPoly.monomial(-k, c.inverse())
-        return StructuredMatrix(
-            self.e,
-            scale * self.R,
-            scale * (-self.Q),
-            scale * (-self.S),
-            scale * self.P,
-        )
+        """The inverse (R, -Q; -S, P) of a matrix of det 1, such as a
+        splitting matrix K_h; any other determinant raises ValueError."""
+        if self.det() != LaurentPoly.one():
+            raise ValueError("matrix determinant is not 1; no inverse here")
+        return StructuredMatrix(self.e, self.R, -self.Q, -self.S, self.P)
 
     @property
     def is_polynomial(self) -> bool:

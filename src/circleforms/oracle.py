@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .forms import FormSpec, make_twist, verify_conjugation
-from .gaussian import Rational
+from .gaussian import RationalLike, as_rational
 from .laurent import LaurentPoly, _evaluate
 from .matrices import StructuredMatrix
 
@@ -52,7 +52,7 @@ class LinearSystem:
     """Rows of exact integer or rational coefficients of a homogeneous system,
     and a label for each column saying which matrix coefficient it stands for."""
 
-    rows: list[list[Rational]]
+    rows: list[list[RationalLike]]
     labels: list[VarLabel]
 
     def __post_init__(self):
@@ -61,7 +61,7 @@ class LinearSystem:
             raise ValueError("row width does not match labels")
 
 
-def _scaled(row: Sequence[Rational]) -> tuple[list[int], int]:
+def _scaled(row: Sequence[RationalLike]) -> tuple[list[int], int]:
     """(den * row, den) with den the least common denominator of the row."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
@@ -73,7 +73,7 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _rref(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _rref(rows: Sequence[Sequence[RationalLike]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination over Z.
 
     Returns (rows, pivots): primitive integer rows, each zero in every other
@@ -286,14 +286,14 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
 
 
 def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
-                      r_grid: Sequence[Rational]) -> list[tuple[Rational, StructuredMatrix]]:
+                      r_grid: Sequence[RationalLike]) -> list[tuple[Fraction, StructuredMatrix]]:
     """For each r in the grid, search for N with N*M_h = M_h''*gamma(N) where
     h'' = r*h2(r^2 T), degree of N capped at deg_bound (0..MAX_DEG_BOUND).
     Every result is exactly verified; an empty list is a valid
     (non-)finding."""
     if not 0 <= deg_bound <= MAX_DEG_BOUND:
         raise ValueError(f"degree bound must be in 0..{MAX_DEG_BOUND}")
-    grid = [Fraction(r) for r in r_grid]
+    grid = [as_rational(r) for r in r_grid]
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
     m_src = make_twist(FormSpec(m, h))

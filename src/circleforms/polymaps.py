@@ -155,12 +155,6 @@ class PolyMap:
     def identity(cls) -> "PolyMap":
         return cls(tuple(MultiPoly.variable(i) for i in range(4)))
 
-    @classmethod
-    def coordinate_swap(cls) -> "PolyMap":
-        """(a, b, x, y) -> (b, a, y, x)."""
-        v = [MultiPoly.variable(i) for i in range(4)]
-        return cls((v[1], v[0], v[3], v[2]))
-
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
             return NotImplemented

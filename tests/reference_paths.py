@@ -13,6 +13,10 @@ by the package.
 * ``conjugates_by_inverse``: the twisted-conjugation identity written with
   an inverse, N * M * (gamma N)^-1 = M', against which the package's
   inverse-free N * M = M' * gamma(N) is cross-checked.
+* ``unit_inverse`` (with ``monomial_parts``): the inverse of a matrix whose
+  det is any Laurent unit c*T^k, against which the package's det-1 adjugate
+  ``StructuredMatrix.inverse`` is cross-checked, and which the Lambda and
+  Lambda' closure tests use.
 * ``substitute_by_products``: ``MultiPoly.substitute`` as one polynomial
   product per variable of every term, summed term by term, against which
   the package's monomial path for single-term images is cross-checked.
@@ -29,6 +33,7 @@ Helpers that only the tests need:
   map, component i of weighted degree w_i (``weight_check`` checks the
   opposite grading of a circle form).
 * ``diagonal``: the constant matrix diag(top, bottom) at cross-exponent e.
+* ``coordinate_swap``: the holomorphic map (a, b, x, y) -> (b, a, y, x).
 * ``fixed_point_shape`` (with ``constant_value``): alpha for a matrix
   diag(alpha, conj(alpha)), the shape of every twist-fixed unit.
 * ``proof_conditions``: the two polynomiality conditions a diagonal gauge
@@ -146,7 +151,28 @@ def conjugates_by_inverse(n, src, dst):
     """N in Lambda and N * src * (gamma N)^-1 == dst."""
     if not n.in_lambda():
         return False
-    return n * src * n.galois().inverse() == dst
+    return n * src * unit_inverse(n.galois()) == dst
+
+
+def monomial_parts(p):
+    """(c, k) when the Laurent polynomial p is a single term c*T^k, else None."""
+    terms = p.items()
+    if len(terms) != 1:
+        return None
+    ((k, c),) = terms
+    return c, k
+
+
+def unit_inverse(matrix):
+    """The inverse of a matrix whose det is a Laurent unit c*T^k: its
+    adjugate times c^-1 * T^-k."""
+    parts = monomial_parts(matrix.det())
+    if parts is None:
+        raise ValueError("matrix determinant is not a unit c*T^k; no inverse here")
+    c, k = parts
+    scale = LaurentPoly.monomial(-k, c.inverse())
+    return StructuredMatrix(matrix.e, scale * matrix.R, scale * (-matrix.Q),
+                            scale * (-matrix.S), scale * matrix.P)
 
 
 def substitute_by_products(poly, images):
@@ -237,6 +263,12 @@ def diagonal(e, top, bottom):
     """The constant matrix diag(top, bottom) at cross-exponent e."""
     zero = LaurentPoly.zero()
     return StructuredMatrix(e, LaurentPoly.constant(top), zero, zero, LaurentPoly.constant(bottom))
+
+
+def coordinate_swap():
+    """The holomorphic map (a, b, x, y) -> (b, a, y, x)."""
+    a, b, x, y = (MultiPoly.variable(i) for i in range(4))
+    return PolyMap((b, a, y, x))
 
 
 def constant_value(p):

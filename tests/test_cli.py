@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -313,6 +314,22 @@ def exit_and_streams(capsys, parse, argv):
         parse(argv)
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+class TestParserTable:
+    @pytest.mark.parametrize("name,options", [(c[0], c[3]) for c in cli.COMMANDS])
+    def test_help_lists_exactly_the_table_options(self, capsys, name, options):
+        code, out, _ = exit_and_streams(capsys, main, [name, "--help"])
+        assert code == 0
+        listed = re.findall(r"^  (-[-\w]+)", out.split("options:", 1)[1], re.MULTILINE)
+        assert listed == ["-h", *options, "--json"]
+
+
+class TestUnicodeDigits:
+    def test_arabic_indic_digit_reads_as_its_value(self, capsys):
+        # parse_rational keeps Fraction's grammar, whose digits are Unicode decimals
+        assert run(capsys, "verify-form", "--m", "1", "--h", "\u0661", "--json") == \
+            run(capsys, "verify-form", "--m", "1", "--h", "1", "--json")
 
 
 class TestParserBuiltOnce:

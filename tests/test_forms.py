@@ -7,7 +7,6 @@ from circleforms import (
     FormSpec,
     GaussianRational,
     LaurentPoly,
-    PolyMap,
     StructuredMatrix,
     case12_checks,
     case12_conjugator,
@@ -28,7 +27,7 @@ from circleforms import (
 from circleforms import cli, forms
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
-from reference_paths import base_rescale, holomorphic_weight_check
+from reference_paths import base_rescale, coordinate_swap, holomorphic_weight_check
 
 T = LaurentPoly.variable()
 one = LaurentPoly.one()
@@ -265,7 +264,7 @@ class TestCase12:
     def test_involution_relations(self):
         twist = case12_twist()
         mu = make_circle_form(twist)
-        assert mu.images == compose(expand(twist), PolyMap.coordinate_swap()).images
+        assert mu.images == compose(expand(twist), coordinate_swap()).images
         assert is_involution(mu)
         assert weight_check(mu, CASE12_WEIGHTS)
 

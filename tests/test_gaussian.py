@@ -1,11 +1,23 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circleforms import GaussianRational, format_rational, parse_rational, rational_odd_root
+from circleforms import (
+    GaussianRational,
+    LaurentPoly,
+    MultiPoly,
+    StructuredMatrix,
+    build_certificate,
+    format_rational,
+    parse_rational,
+    rational_odd_root,
+    search_conjugator,
+    verify_certificate,
+)
 from circleforms.gaussian import DigitLimitError, integer_kth_root
 
 from strategies import gaussians, nonzero_gaussians, rationals
@@ -54,6 +66,40 @@ class TestArithmetic:
     @given(z1=gaussians, z2=nonzero_gaussians)
     def test_division_roundtrip(self, z1, z2):
         assert (z1 * z2.inverse()) * z2 == z1
+
+
+class TestExactInputsOnly:
+    """Every library entry point that takes a rational takes an int or a
+    Fraction; a float, a string or a Decimal raises TypeError at once."""
+
+    ENTRY_POINTS = {
+        "GaussianRational.re": GaussianRational,
+        "GaussianRational.im": lambda x: GaussianRational(1, x),
+        "LaurentPoly.constant": LaurentPoly.constant,
+        "LaurentPoly.from_coeffs": lambda x: LaurentPoly.from_coeffs([1, x]),
+        "MultiPoly.constant": MultiPoly.constant,
+        "apply_scaling": lambda x: LaurentPoly.one().apply_scaling(x),
+        "build_certificate": lambda x: build_certificate(
+            LaurentPoly.one(), LaurentPoly.one(), 1, x),
+        "verify_certificate": lambda x: verify_certificate(
+            LaurentPoly.one(), LaurentPoly.one(), 1, x, StructuredMatrix.identity(3)),
+        "search_conjugator": lambda x: search_conjugator(
+            LaurentPoly.one(), LaurentPoly.one(), 1, 0, [x]),
+        "rational_odd_root": lambda x: rational_odd_root(x, 3),
+        "format_rational": format_rational,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0.1, 1.0, "1", "1e2000000", Decimal("0.1")],
+                             ids=["float", "integral-float", "str", "long-str", "Decimal"])
+    def test_inexact_or_text_input_raises_type_error(self, entry, value):
+        with pytest.raises(TypeError):
+            self.ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [1, Fraction(1)], ids=["int", "Fraction"])
+    def test_int_and_fraction_accepted(self, entry, value):
+        self.ENTRY_POINTS[entry](value)
 
 
 class TestIntegralStorage:

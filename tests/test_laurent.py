@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from circleforms import GaussianRational, LaurentPoly, geometric_sum
 
-from reference_paths import substitute_power
+from reference_paths import monomial_parts, substitute_power
 from strategies import (
     laurents,
     nonzero_laurents,
@@ -185,8 +185,9 @@ class TestPredicates:
         assert not T.is_constant
 
     def test_monomial_parts(self):
-        assert LaurentPoly.monomial(-2, 5).monomial_parts() == (GaussianRational(5), -2)
-        assert (one + T).monomial_parts() is None
+        # the single-term reader that the reference unit inverse rests on
+        assert monomial_parts(LaurentPoly.monomial(-2, 5)) == (GaussianRational(5), -2)
+        assert monomial_parts(one + T) is None
 
 
 class TestJson:

@@ -1,10 +1,12 @@
 """Import layering of the package, read from the source with ``ast``: the
 quotient needs no linear algebra, the oracle stays independent of the
 decision procedure it cross-checks, and no module reads the environment or
-starts worker processes."""
+starts worker processes.  Also the public surface: ``__all__`` is the names
+the package imports."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -79,3 +81,23 @@ def test_reader_sees_environment_and_process_uses(tmp_path):
                       "from os import getenv\nx = os.environ.get('K')\n", encoding="utf-8")
     assert environment_and_process_uses(source) == [
         "multiprocessing.pool", "concurrent.futures", "os.getenv", "environ"]
+
+
+def test_all_is_every_public_name_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert circleforms.__all__ == public
+    bound = {name for name, value in vars(circleforms).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert bound == set(public)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from circleforms import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == circleforms.__all__
+    assert all(namespace[name] is getattr(circleforms, name) for name in namespace)

@@ -22,6 +22,7 @@ from circleforms import (
 
 from reference_paths import (
     base_scaling_map,
+    coordinate_swap,
     holomorphic_weight_check,
     scaling_map,
     substitute_by_products,
@@ -98,7 +99,7 @@ class TestCompose:
         assert compose(conj, conj) == PolyMap.identity()
 
     def test_flag_is_part_of_equality(self):
-        swap = PolyMap.coordinate_swap().images
+        swap = coordinate_swap().images
         assert PolyMap(swap, True) != PolyMap(swap, False)
         assert PolyMap(swap, True) == linear_circle_form()
         assert PolyMap(swap) == PolyMap(swap, False)
