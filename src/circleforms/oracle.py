@@ -11,7 +11,9 @@ matrices U and V,
 
 where swap is the galois rearrangement without conjugation.  Each block is
 an exact nullspace computation, done by fraction-free elimination over the
-integers after one common denominator is cleared.
+integers after one common denominator is cleared.  Each kernel basis vector
+is an integer pair (U, D), standing for U / D, and the candidates are
+integer combinations of those pairs, so no rational is built.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .forms import FormSpec, make_twist, verify_conjugation
 from .gaussian import RationalLike, as_rational
@@ -49,10 +51,11 @@ MAX_DEG_BOUND = 16
 
 @dataclass
 class LinearSystem:
-    """Rows of exact integer or rational coefficients of a homogeneous system,
-    and a label for each column saying which matrix coefficient it stands for."""
+    """Rows of integer coefficients of a homogeneous system (a nonzero row
+    holding a rational raises ``TypeError`` when it is solved), and a label
+    for each column saying which matrix coefficient it stands for."""
 
-    rows: list[list[RationalLike]]
+    rows: list[list[int]]
     labels: list[VarLabel]
 
     def __post_init__(self):
@@ -61,10 +64,7 @@ class LinearSystem:
             raise ValueError("row width does not match labels")
 
 
-def _scaled(row: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """(den * row, den) with den the least common denominator of the row."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
+IntVector = tuple[list[int], int]  # (U, D): the vector U / D, with D > 0
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -73,16 +73,15 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _rref(rows: Sequence[Sequence[RationalLike]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _rref(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination over Z.
 
     Returns (rows, pivots): primitive integer rows, each zero in every other
     pivot column.  Dividing each row by its pivot entry gives the reduced
     row echelon form, which is unique.  Each update (a/g)*row - (f/g)*lead,
     with g = gcd(a, f), is a nonzero multiple of the rational update
-    row - (f/a)*lead, so the pivots are those of rational elimination.
-    Denominators are cleared row by row on entry."""
-    work = [_primitive(_scaled(row)[0]) for row in rows if any(row)]
+    row - (f/a)*lead, so the pivots are those of rational elimination."""
+    work = [_primitive(row) for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -109,23 +108,28 @@ def _rref(rows: Sequence[Sequence[RationalLike]], ncols: int) -> tuple[list[list
     return work[:r], pivots
 
 
-def nullspace(system: LinearSystem) -> list[list[Fraction]]:
-    """Basis of the solution space of the homogeneous system; every returned
-    vector multiplies back to an exactly-zero residual."""
+def nullspace(system: LinearSystem) -> list[IntVector]:
+    """Basis of the solution space of the homogeneous system: for each free
+    column f, the reduced-echelon vector with a 1 at f as (U, D), D its least
+    denominator, so U is primitive and U[f] = D.  Every U multiplies back to
+    an exactly-zero residual."""
     ncols = len(system.labels)
     rref_rows, pivots = _rref(system.rows, ncols)
     pivot_set = set(pivots)
     basis = []
-    zero = Fraction(0)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[free] = Fraction(1)
-        for row, p in zip(rref_rows, pivots):
-            if row[free]:
-                vec[p] = Fraction(-row[free], row[p])
-        basis.append(vec)
+        # U[p] / D = -row[free] / row[p]; D is the lcm of the reduced denominators
+        entries = [(p, row[free], row[p]) for row, p in zip(rref_rows, pivots) if row[free]]
+        den = 1  # pairwise, not lcm(*...): an argument tuple per vector raised peak RSS
+        for _, f, a in entries:
+            den = lcm(den, a // gcd(a, f))
+        vec = [0] * ncols
+        vec[free] = den
+        for p, f, a in entries:
+            vec[p] = -f * den // a
+        basis.append((vec, den))
     return basis
 
 
@@ -182,32 +186,30 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     return LinearSystem(rows=rows, labels=labels)
 
 
-def _build_matrix(e: int, u: Optional[Sequence[int]], v: Optional[Sequence[int]],
+def _build_matrix(e: int, u: Sequence[int], v: Sequence[int],
                   deg_bound: int, den: int = 1) -> StructuredMatrix:
     """The matrix (U + iV) / den for integer coefficient vectors U and V laid
-    out as in the conjugation blocks (None for a zero part)."""
+    out as in the conjugation blocks."""
     width = deg_bound + 1
     polys = []
     for k in range(4):
-        parts = []
-        for vec in (u, v):
-            parts.append({j: x for j, x in enumerate(vec[k * width:(k + 1) * width]) if x}
-                         if vec else {})
+        parts = [{j: x for j, x in enumerate(vec[k * width:(k + 1) * width]) if x}
+                 for vec in (u, v)]
         polys.append(LaurentPoly._make(*parts, den))
     return StructuredMatrix(e, *polys)
 
 
-IntCandidate = tuple[Optional[list[int]], Optional[list[int]], int]
+IntCandidate = tuple[list[int], list[int], int]
 
 
-def _candidates(re_basis: Sequence[Sequence[Fraction]],
-                im_basis: Sequence[Sequence[Fraction]]) -> Iterator[IntCandidate]:
+def _candidates(re_basis: Sequence[IntVector], im_basis: Sequence[IntVector],
+                ncols: int) -> Iterator[IntCandidate]:
     """The scanned combinations (u, v) of the two kernel bases, in scan
     order: single basis vectors, then +-1 sums of two real or of two
     imaginary ones, then u +- i*v.  Each is (U, V, c) with integer vectors
-    U = c*u and V = c*v (None for an absent part) and c > 0."""
-    re_int = [_scaled(u) for u in re_basis]
-    im_int = [_scaled(v) for v in im_basis]
+    U = c*u and V = c*v and c > 0; an absent part is one shared zero
+    vector of length ncols."""
+    zero = [0] * ncols
 
     def pair_sums(basis):
         for i, (a, da) in enumerate(basis):
@@ -215,26 +217,25 @@ def _candidates(re_basis: Sequence[Sequence[Fraction]],
                 for s in (da, -da):
                     yield [db * x + s * y for x, y in zip(a, b)], da * db
 
-    for u, du in re_int:
-        yield u, None, du
-    for v, dv in im_int:
-        yield None, v, dv
-    for u, c in pair_sums(re_int):
-        yield u, None, c
-    for v, c in pair_sums(im_int):
-        yield None, v, c
-    for u, du in re_int:
-        for v, dv in im_int:
+    for u, du in re_basis:
+        yield u, zero, du
+    for v, dv in im_basis:
+        yield zero, v, dv
+    for u, c in pair_sums(re_basis):
+        yield u, zero, c
+    for v, c in pair_sums(im_basis):
+        yield zero, v, c
+    for u, du in re_basis:
+        for v, dv in im_basis:
             uu = [dv * x for x in u]
             vv = [du * y for y in v]
             yield uu, vv, du * dv
             yield uu, [-y for y in vv], du * dv
 
 
-def _det_is_unit(e: int, width: int, u: Optional[Sequence[int]],
-                 v: Optional[Sequence[int]]) -> bool:
+def _det_is_unit(e: int, width: int, u: Sequence[int], v: Sequence[int]) -> bool:
     """Whether det(U + iV) is a nonzero constant, for integer coefficient
-    vectors laid out as in the conjugation blocks (None for a zero part).
+    vectors laid out as in the conjugation blocks.
 
     Each entry is packed into one int at X = 2^bits (Kronecker substitution,
     as in ``laurent``), with bits wide enough that every coefficient of the
@@ -242,15 +243,12 @@ def _det_is_unit(e: int, width: int, u: Optional[Sequence[int]],
     part is then constant exactly when its packed value is below that.  A
     common scale c of U and V multiplies det by c^2, which changes neither
     property."""
-    height = max(map(abs, (u or []) + (v or [])))
+    height = max(map(abs, [*u, *v]))
     bits = (4 * width * height * height).bit_length() + 1
-    packed = []
-    for vec in (u, v):
-        for k in range(4):
-            packed.append(_evaluate(list(enumerate(vec[k * width:(k + 1) * width])), 0, bits)
-                          if vec else 0)
+    pu, qu, su, ru, pv, qv, sv, rv = [
+        _evaluate(list(enumerate(vec[k * width:(k + 1) * width])), 0, bits)
+        for vec in (u, v) for k in range(4)]
     # (Pu + iPv)(Ru + iRv) - T^e (Qu + iQv)(Su + iSv), split into parts
-    pu, qu, su, ru, pv, qv, sv, rv = packed
     re = pu * ru - pv * rv - (qu * su - qv * sv << bits * e)
     im = pu * rv + pv * ru - (qu * sv + qv * su << bits * e)
     half = 1 << bits - 1
@@ -273,7 +271,7 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
 
     found = []
     seen = set()
-    for u, v, c in _candidates(re_basis, im_basis):
+    for u, v, c in _candidates(re_basis, im_basis, 4 * width):
         if not _det_is_unit(e, width, u, v):
             continue
         matrix = _build_matrix(e, u, v, deg_bound, c)

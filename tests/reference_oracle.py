@@ -1,11 +1,14 @@
 """Reference oracle: rational Gauss-Jordan elimination and the candidate scan
 on ``Fraction`` vectors, with each candidate built through the public
 ``LaurentPoly`` constructor (``fraction_matrix``), kept as the slow path that
-the integer routines in ``circleforms.oracle`` are checked against.
+the integer routines in ``circleforms.oracle`` are checked against.  Those
+hold every kernel basis vector as an integer pair (U, D); ``as_pairs``
+brings a ``Fraction`` basis to that form for comparison.
 ``fraction_solve_linear`` runs the reference membership test in
 ``reference_paths``.  Not used by the package."""
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
@@ -56,6 +59,16 @@ def fraction_nullspace(rows, ncols):
                 vec[p] = -row[free]
         basis.append(vec)
     return basis
+
+
+def as_pairs(basis):
+    """Each Fraction vector as (U, D): D its least common denominator and
+    U = D * vector, the form ``circleforms.oracle.nullspace`` returns."""
+    pairs = []
+    for vec in basis:
+        den = lcm(*(x.denominator for x in vec))
+        pairs.append(([int(x * den) for x in vec], den))
+    return pairs
 
 
 def fraction_solve_linear(rows, rhs, ncols) -> Optional[list]:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,30 +40,43 @@ def poly(*coeffs):
 
 class TestNullspace:
     def test_identity_system_has_trivial_kernel(self):
-        rows = [[F(1), F(0)], [F(0), F(1)]]
+        rows = [[1, 0], [0, 1]]
         sys = LinearSystem(rows, [("P", 0, "re"), ("P", 1, "re")])
         assert nullspace(sys) == []
 
     def test_difference_equation(self):
-        sys = LinearSystem([[F(1), F(-1)]], [("P", 0, "re"), ("P", 1, "re")])
-        assert nullspace(sys) == [[F(1), F(1)]]
+        sys = LinearSystem([[2, -2]], [("P", 0, "re"), ("P", 1, "re")])
+        assert nullspace(sys) == [([1, 1], 1)]
+
+    def test_least_denominator(self):
+        # x0 = -(3/2) x2 and x1 = (1/3) x2: U = (-9, 2, 6) over D = 6
+        sys = LinearSystem([[2, 0, 3], [0, 3, -1]], [("P", j, "re") for j in range(3)])
+        assert nullspace(sys) == [([-9, 2, 6], 6)]
 
     def test_random_rectangular_residuals_vanish(self):
         rng = random.Random(1984)
         for _ in range(10):
+            # rational rows scaled to integers by their lcm: the kernel is unchanged
             rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
                     for _ in range(6)]
+            rows = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
             labels = [("P", j, "re") for j in range(8)]
             sys = LinearSystem(rows, labels)
             basis = nullspace(sys)
             assert len(basis) >= 2  # more unknowns than equations
-            for vec in basis:
+            for vec, den in basis:
+                assert den > 0 and gcd(*vec) == 1
                 for row in rows:
                     assert sum(a * x for a, x in zip(row, vec)) == 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            LinearSystem([[F(1), F(2)]], [("P", 0, "re")])
+            LinearSystem([[1, 2]], [("P", 0, "re")])
+
+    def test_rational_rows_are_refused(self):
+        sys = LinearSystem([[F(1, 2), F(1)]], [("P", 0, "re"), ("P", 1, "re")])
+        with pytest.raises(TypeError):
+            nullspace(sys)
 
 
 class TestSolveLinear:

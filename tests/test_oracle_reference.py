@@ -4,7 +4,7 @@ its determinant test against the rational reference path in
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,7 @@ from circleforms.oracle import (
 )
 
 from reference_oracle import (
+    as_pairs,
     fraction_matrix,
     fraction_nullspace,
     fraction_rref,
@@ -44,8 +45,10 @@ F = Fraction
 
 @st.composite
 def matrices(draw, max_rows=6, max_cols=8):
-    """Rational matrices with many zero entries; some have an appended
-    combination of their rows (rank-deficient) or a zeroed column."""
+    """Integer matrices with many zero entries, drawn as rational rows each
+    scaled by the lcm of its denominators (which leaves the kernel
+    unchanged); some have an appended combination of their rows
+    (rank-deficient) or a zeroed column."""
     ncols = draw(st.integers(1, max_cols))
     entry = st.one_of(st.just(F(0)), rationals)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows))
@@ -55,7 +58,7 @@ def matrices(draw, max_rows=6, max_cols=8):
     if draw(st.booleans()):
         dead = draw(st.integers(0, ncols - 1))
         rows = [[F(0) if j == dead else x for j, x in enumerate(row)] for row in rows]
-    return rows, ncols
+    return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows], ncols
 
 
 def _normalized(rows, pivots):
@@ -79,22 +82,30 @@ class TestEliminationAgainstReference:
         rows, ncols = case
         system = LinearSystem(rows, [("P", j, "re") for j in range(ncols)])
         basis = nullspace(system)
-        assert basis == fraction_nullspace(rows, ncols)
-        assert all(type(x) is Fraction for vec in basis for x in vec)
+        ref = fraction_nullspace(rows, ncols)
+        assert [[F(x, den) for x in vec] for vec, den in basis] == ref
+        assert basis == as_pairs(ref)
+        pivots = set(fraction_rref(rows, ncols)[1])
+        free_cols = [c for c in range(ncols) if c not in pivots]
+        for (vec, den), free in zip(basis, free_cols, strict=True):
+            assert den > 0 and gcd(*vec) == 1 and vec[free] == den
+            assert all(type(x) is int for x in vec)
 
-    @given(matrices())
+    @given(matrices(), st.data())
     @settings(max_examples=100)
-    def test_scaled_integer_rows_give_the_same_form(self, case):
+    def test_scaled_integer_rows_give_the_same_form(self, case, data):
         rows, ncols = case
-        den = lcm(*(x.denominator for row in rows for x in row))
-        scaled = [[int(x * den) for x in row] for row in rows]
+        # positive factors: each primitive row keeps its sign
+        factors = data.draw(st.lists(st.integers(1, 6),
+                                     min_size=len(rows), max_size=len(rows)))
+        scaled = [[k * x for x in row] for k, row in zip(factors, rows)]
         assert _rref(scaled, ncols) == _rref(rows, ncols)
 
     def test_wide_and_empty_systems(self):
         assert _rref([], 3) == ([], [])
-        assert fraction_nullspace([], 2) == nullspace(
-            LinearSystem([], [("P", 0, "re"), ("P", 1, "re")]))
-        rows = [[F(0), F(2), F(4), F(0), F(6)], [F(0), F(1, 3), F(2, 3), F(0), F(1)]]
+        assert nullspace(LinearSystem([], [("P", 0, "re"), ("P", 1, "re")])) == \
+            as_pairs(fraction_nullspace([], 2)) == [([1, 0], 1), ([0, 1], 1)]
+        rows = [[0, 2, 4, 0, 6], [0, 1, 2, 0, 3]]
         int_rows, pivots = _rref(rows, 5)
         assert pivots == [1]
         assert int_rows == [[0, 1, 2, 0, 3]]
@@ -114,8 +125,25 @@ SEARCHES = (
 )
 
 
+ORACLE_ARGVS = [
+    ["--m", "2", "--h", "1,1", "--hp", "2,8", "--deg", "4", "--r-grid=1,1/2,-1/2"],
+    ["--m", "1", "--h", "1,-1/3", "--hp", "1,1/3", "--deg", "5", "--r-grid=1,-1,2"],
+    ["--m", "2", "--h", "0,1", "--hp", "0,-1", "--deg", "6", "--r-grid=-1,1"],
+    ["--m", "1", "--h", "0", "--hp", "1", "--deg", "3", "--r-grid=1,-1,2"],
+]
+
+
 def _twists(m, h, h2, r):
     return make_twist(FormSpec(m, h)), make_twist(FormSpec(m, h2.apply_scaling(r)))
+
+
+def _assert_reference_bytes(argv, capsys, monkeypatch):
+    """stdout and stderr of the CLI call equal those with the reference scan."""
+    assert main(argv) == 0
+    fast = capsys.readouterr()
+    monkeypatch.setattr(oracle, "conjugators_between", reference_conjugators_between)
+    assert main(argv) == 0
+    assert capsys.readouterr() == fast
 
 
 class TestScanAgainstReference:
@@ -126,11 +154,13 @@ class TestScanAgainstReference:
             m_src, m_dst = _twists(m, h, h2, r)
             re_basis, im_basis = reference_bases(m_src, m_dst, deg)
             ref = reference_candidates(re_basis, im_basis)
-            new = list(_candidates(re_basis, im_basis))
+            ncols = 4 * (deg + 1)
+            new = list(_candidates(as_pairs(re_basis), as_pairs(im_basis), ncols))
             assert len(new) == len(ref)
+            zero = [F(0)] * ncols
             for (u, v, c), (ref_u, ref_v) in zip(new, ref):
-                assert (None if u is None else [F(x, c) for x in u]) == ref_u
-                assert (None if v is None else [F(y, c) for y in v]) == ref_v
+                assert [F(x, c) for x in u] == (zero if ref_u is None else ref_u)
+                assert [F(y, c) for y in v] == (zero if ref_v is None else ref_v)
                 det = fraction_matrix(m_src.e, ref_u, ref_v, deg).det()
                 assert _build_matrix(m_src.e, u, v, deg, c).det() == det
                 unit = not det.is_zero and det.is_constant
@@ -148,7 +178,8 @@ class TestScanAgainstReference:
         v = [int(c.im * den) for c in coeffs]
         assert any(u) and any(v)
         assert _det_is_unit(4, width, u, v)
-        for pair in ((u, v), (u, [-y for y in v]), (v, u), (u, None), (None, v)):
+        zero = [0] * len(u)
+        for pair in ((u, v), (u, [-y for y in v]), (v, u), (u, zero), (zero, v)):
             det = _build_matrix(4, *pair, width - 1).det()
             assert _det_is_unit(4, width, *pair) == (not det.is_zero and det.is_constant)
 
@@ -157,8 +188,9 @@ class TestScanAgainstReference:
     def test_det_prefilter_on_random_vectors(self, e, width, data):
         vec = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=4 * width,
                        max_size=4 * width)
-        u = data.draw(st.one_of(st.none(), vec))
-        v = data.draw(vec if u is None else st.one_of(st.none(), vec))
+        zero = [0] * (4 * width)
+        u = data.draw(st.one_of(st.just(zero), vec))
+        v = data.draw(vec if u is zero else st.one_of(st.just(zero), vec))
         det = _build_matrix(e, u, v, width - 1).det()
         assert _det_is_unit(e, width, u, v) == (not det.is_zero and det.is_constant)
 
@@ -167,22 +199,21 @@ class TestScanAgainstReference:
         for r in grid:
             m_src, m_dst = _twists(m, h, h2, r)
             re_basis, im_basis = reference_bases(m_src, m_dst, deg)
-            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, +1)) == re_basis
-            assert nullspace(oracle._conjugation_block(m_src, m_dst, deg, -1)) == im_basis
+            re_block = oracle._conjugation_block(m_src, m_dst, deg, +1)
+            im_block = oracle._conjugation_block(m_src, m_dst, deg, -1)
+            assert all(type(x) is int for block in (re_block, im_block)
+                       for row in block.rows for x in row)
+            assert nullspace(re_block) == as_pairs(re_basis)
+            assert nullspace(im_block) == as_pairs(im_basis)
 
-    @pytest.mark.parametrize("argv", [
-        ["--m", "2", "--h", "1,1", "--hp", "2,8", "--deg", "4", "--r-grid=1,1/2,-1/2"],
-        ["--m", "1", "--h", "1,-1/3", "--hp", "1,1/3", "--deg", "5", "--r-grid=1,-1,2"],
-        ["--m", "2", "--h", "0,1", "--hp", "0,-1", "--deg", "6", "--r-grid=-1,1"],
-        ["--m", "1", "--h", "0", "--hp", "1", "--deg", "3", "--r-grid=1,-1,2"],
-    ])
+    @pytest.mark.parametrize("argv", ORACLE_ARGVS)
     def test_oracle_json_bytes_match_reference(self, argv, capsys, monkeypatch):
-        argv = ["oracle", *argv, "--json"]
-        assert main(argv) == 0
-        fast = capsys.readouterr().out
-        monkeypatch.setattr(oracle, "conjugators_between", reference_conjugators_between)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == fast
+        _assert_reference_bytes(["oracle", *argv, "--json"], capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv", ORACLE_ARGVS)
+    def test_oracle_text_bytes_match_reference(self, argv, capsys, monkeypatch):
+        # the text lines print every found N, each entry in lowest terms
+        _assert_reference_bytes(["oracle", *argv], capsys, monkeypatch)
 
     def test_byte_check_covers_findings(self, capsys):
         assert main(["oracle", "--m", "2", "--h", "1,1", "--hp", "2,8", "--deg", "4",

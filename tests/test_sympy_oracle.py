@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from circleforms import FormSpec, GaussianRational, LaurentPoly, PolyMap, compose, make_twist
+from circleforms import (
+    FormSpec, GaussianRational, LaurentPoly, PolyMap, compose, expand, make_twist,
+)
 from circleforms.forms import splitting_entries
 
-from strategies import laurents, multis, real_polys, substitute_images
+from strategies import laurents, multis, real_polys, structured_matrices, substitute_images
 
 QQ_I = sympy.QQ_I
 T, H = sympy.symbols("T H")
@@ -98,6 +100,20 @@ def test_compose_matches_sympy(f, g, flags):
     got = compose(fmap, gmap)
     assert got.conjugates_input == (flags[0] != flags[1])
     assert [multi(img) for img in got.images] == [substituted(multi(img), inner) for img in f]
+
+
+@settings(max_examples=40)
+@given(matrix=structured_matrices)
+def test_expand_matches_sympy(matrix):
+    # (a, b, x, y) -> (a, b, P(ab) x + a^e Q(ab) y, b^e S(ab) x + R(ab) y)
+    a, b, x, y = GENS
+    e = matrix.e
+    P, Q, S, R = (sum(number(c) * (a * b) ** j for j, c in p.items()) for p in matrix.entries())
+    expected = (a, b, P * x + a ** e * Q * y, b ** e * S * x + R * y)
+    got = expand(matrix)
+    assert not got.conjugates_input
+    assert [multi(img) for img in got.images] == [sympy.Poly(v, *GENS, domain=QQ_I)
+                                                   for v in expected]
 
 
 # The forms docstring, transcribed: for n = 2m+1 and x = T*h^2,
