@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .equivalence import classify, decide_equiv, verify_certificate
+from .equivalence import build_certificate, classify, decide_equiv, verify_certificate
 from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
 from .gaussian import GaussianRational, RationalLike
 from .laurent import LaurentPoly
@@ -83,17 +83,15 @@ def m2_condition_grid() -> tuple[bool, str]:
     for c0, c1, c0p, c1p in itertools.product(values, repeat=4):
         expect = case_m2_conditions(c0, c1, c0p, c1p)
         got = decide_equiv(LaurentPoly.from_coeffs([c0, c1]),
-                           LaurentPoly.from_coeffs([c0p, c1p]),
-                           2, with_certificate=False).equivalent
+                           LaurentPoly.from_coeffs([c0p, c1p]), 2).equivalent
         if expect != got:
             return False, f"disagreement at ({c0},{c1}) vs ({c0p},{c1p})"
         checked += 1
     h, h2 = LaurentPoly.from_coeffs([1, 1]), LaurentPoly.from_coeffs([2, 8])
-    decision = decide_equiv(h, h2, 2)
-    if not decision.equivalent or decision.rational_witness != Fraction(1, 2):
-        return False, f"witness for (1+T, 2+8T) is {decision.rational_witness}"
-    r, conj = decision.certificate
-    if not verify_certificate(h, h2, 2, r, conj):
+    r = decide_equiv(h, h2, 2).rational_witness
+    if r != Fraction(1, 2):
+        return False, f"witness for (1+T, 2+8T) is {r}"
+    if not verify_certificate(h, h2, 2, r, build_certificate(h, h2, 2, r)):
         return False, "certificate for (1+T, 2+8T) fails re-verification"
     return True, f"{checked} grid points agree; witness 1/2 certified"
 
@@ -141,7 +139,7 @@ def oracle_agreement_grid() -> tuple[bool, str]:
         for h2c in itertools.product(values, repeat=2):
             h = LaurentPoly.from_coeffs(hc)
             h2 = LaurentPoly.from_coeffs(h2c)
-            decision = decide_equiv(h, h2, 2, with_certificate=False)
+            decision = decide_equiv(h, h2, 2)
             found = search_conjugator(h, h2, 2, 6, ORACLE_R_GRID)
             if decision.equivalent and decision.rational_witness in ORACLE_R_GRID:
                 if not found:
@@ -174,7 +172,7 @@ def equivalence_relation_properties() -> tuple[bool, str]:
         m = rng.choice(GRID_MS)
         h = _random_poly(rng, rng.randint(0, 3), nonzero_c0=True)
 
-        ref = decide_equiv(h, h, m, with_certificate=False)
+        ref = decide_equiv(h, h, m)
         if not ref.equivalent or ref.rational_witness != 1:
             return False, f"reflexivity fails at trial {trial}"
 
@@ -182,14 +180,14 @@ def equivalence_relation_properties() -> tuple[bool, str]:
         h2 = h.apply_scaling(r1)
         h3 = h2.apply_scaling(r2)
 
-        d12 = decide_equiv(h, h2, m, with_certificate=False)
+        d12 = decide_equiv(h, h2, m)
         if not d12.equivalent or d12.rational_witness != 1 / r1:
             return False, f"scaling coherence fails at trial {trial}"
-        d21 = decide_equiv(h2, h, m, with_certificate=False)
+        d21 = decide_equiv(h2, h, m)
         if not d21.equivalent or d21.rational_witness != r1:
             return False, f"witness inversion fails at trial {trial}"
-        d23 = decide_equiv(h2, h3, m, with_certificate=False)
-        d13 = decide_equiv(h, h3, m, with_certificate=False)
+        d23 = decide_equiv(h2, h3, m)
+        d13 = decide_equiv(h, h3, m)
         if not (d23.equivalent and d13.equivalent):
             return False, f"transitive chain not equivalent at trial {trial}"
         if (d12.rational_witness is not None and d23.rational_witness is not None
@@ -199,12 +197,12 @@ def equivalence_relation_properties() -> tuple[bool, str]:
         # unrelated triple: verdicts must still form an equivalence relation
         g1 = _random_poly(rng, rng.randint(0, 2))
         g2 = _random_poly(rng, rng.randint(0, 2))
-        e12 = decide_equiv(g1, g2, m, with_certificate=False).equivalent
-        e13 = decide_equiv(g1, h, m, with_certificate=False).equivalent
-        e23 = decide_equiv(g2, h, m, with_certificate=False).equivalent
+        e12 = decide_equiv(g1, g2, m).equivalent
+        e13 = decide_equiv(g1, h, m).equivalent
+        e23 = decide_equiv(g2, h, m).equivalent
         if e12 and e23 and not e13:
             return False, f"transitivity violated at trial {trial}"
-        if e12 != decide_equiv(g2, g1, m, with_certificate=False).equivalent:
+        if e12 != decide_equiv(g2, g1, m).equivalent:
             return False, f"symmetry violated at trial {trial}"
     return True, "1000 random triples consistent"
 

@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .equivalence import decide_equiv, verify_certificate
+from .equivalence import build_certificate, decide_equiv, verify_certificate
 from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
 from .gaussian import DigitLimitError, format_rational, json_rational, parse_rational
 from .laurent import LaurentPoly
@@ -69,7 +69,7 @@ def parse_rational_token(token: str) -> Fraction:
 
 def parse_poly(text: str) -> LaurentPoly:
     """Ascending comma-separated rational coefficients -> real polynomial."""
-    if text is None or not text.strip():
+    if not text.strip():
         raise UsageError("empty coefficient list")
     return LaurentPoly.from_coeffs(map(parse_rational_token, text.split(",")))
 
@@ -90,8 +90,8 @@ def parse_r_grid(text: str) -> list[Fraction]:
 MAX_M = 64
 
 
-def _require_m(m: Optional[int]) -> int:
-    if m is None or m < 1:
+def _require_m(m: int) -> int:
+    if m < 1:
         raise UsageError("--m must be a positive integer")
     if m > MAX_M:
         raise UsageError(f"--m must be at most {MAX_M}")
@@ -116,6 +116,17 @@ def _load_file(path: Optional[str], what: str, read):
             return read(json.load(fh))
     except _LOAD_ERRORS as exc:
         raise UsageError(f"cannot load {what}: {exc}")
+
+
+def _certificate(r: Fraction, conjugator: StructuredMatrix) -> dict:
+    """The certificate document: `equiv --json` shows it, `equiv --out`
+    writes it, each `oracle` finding is one, and _read_certificate reads it
+    back for `verify-certificate --file`."""
+    return {"r": format_rational(r), "N": conjugator.to_json()}
+
+
+def _read_certificate(doc) -> tuple[Fraction, StructuredMatrix]:
+    return json_rational(doc["r"]), StructuredMatrix.from_json(doc["N"])
 
 
 def _read_forms(doc) -> list[LaurentPoly]:
@@ -150,24 +161,33 @@ def cmd_equiv(args) -> int:
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
     result = decide_equiv(h, h2, m)
-    # Formatted only when printed: a certificate too long to print is refused,
-    # and text mode does not print it.
-    payload = result.to_json() if args.json else None
+    r = result.rational_witness
+    # Every rational witness has its certificate built, and so re-checked.  It
+    # is formatted only to be printed or written: one too long to print is
+    # refused, and text mode does not print it.
+    conjugator = None if r is None else build_certificate(h, h2, m, r)
+    cert = _certificate(r, conjugator) if conjugator and (args.json or args.out) else None
     lines = []
     if result.equivalent:
-        if result.rational_witness is not None:
-            lines.append(f"equivalent, rational witness r = {format_rational(result.rational_witness)}")
+        if r is not None:
+            lines.append(f"equivalent, rational witness r = {format_rational(r)}")
         else:
             lines.append("equivalent over the reals, no rational witness")
     else:
         lines.append("inequivalent")
     if args.out:
-        if result.certificate is not None:
-            _write_json(args.out, result.certificate_json())
+        if cert is not None:
+            _write_json(args.out, cert)
             lines.append(f"certificate written to {args.out}")
         else:
             lines.append("no certificate to write (no rational witness)")
-    _emit(args, lines, payload)
+    _emit(args, lines, {
+        "equivalent": result.equivalent,
+        # a real r exists exactly when the forms are equivalent
+        "witness_exists_over_reals": result.equivalent,
+        "rational_witness": None if cert is None else cert["r"],
+        "certificate": cert,
+    })
     return 0 if result.equivalent else 1
 
 
@@ -175,8 +195,7 @@ def cmd_verify_certificate(args) -> int:
     m = _require_m(args.m)
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
-    r, conj = _load_file(args.file, "certificate", lambda doc: (
-        json_rational(doc["r"]), StructuredMatrix.from_json(doc["N"])))
+    r, conj = _load_file(args.file, "certificate", _read_certificate)
     if conj.e != 2 * m + 1:
         raise UsageError(f"certificate matrix has e = {conj.e}, expected {2 * m + 1} for m = {m}")
     ok = verify_certificate(h, h2, m, r, conj)
@@ -199,13 +218,13 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = _require_m(args.m)
-    if args.deg is None or not 0 <= args.deg <= MAX_DEG_BOUND:
+    if not 0 <= args.deg <= MAX_DEG_BOUND:
         raise UsageError(f"--deg must be an integer from 0 to {MAX_DEG_BOUND}")
     h = parse_poly(args.h)
     h2 = parse_poly(args.hp)
     grid = parse_r_grid(args.r_grid)
     found = search_conjugator(h, h2, m, args.deg, grid)
-    payload = [{"r": format_rational(r), "N": conj.to_json()} for r, conj in found]
+    payload = [_certificate(r, conj) for r, conj in found]
     lines = [f"{len(found)} verified conjugator(s) at degree <= {args.deg} "
              f"over {len(grid)} rescaling(s)"]
     for r, conj in found:

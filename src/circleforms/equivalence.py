@@ -17,9 +17,11 @@ x -> x^(2p+1) is injective on the reals.  Odd exponents also make the signs
 self-consistent, so no separate sign analysis is needed (an even-power
 variant of this reduction would be wrong).
 
-r itself is rational iff rho_p has a rational (2p+1)-th root; only then is an
-explicit conjugating certificate produced (an irrational witness would need
-an algebraic-number field, which this package deliberately avoids).
+r itself is rational iff rho_p has a rational (2p+1)-th root; only then can
+build_certificate construct the explicit conjugator for r (an irrational
+witness would need an algebraic-number field, which this package
+deliberately avoids).  Deciding and constructing are separate calls: the
+verdict never builds a matrix.
 
 Separating the two forms in the cross condition gives a complete invariant of
 one form (equivalence_key), so classify finds the classes by grouping, not
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Sequence
 
 from .forms import FormSpec, _require_real_poly, make_splitting, make_twist, verify_conjugation
-from .gaussian import RationalLike, as_rational, format_rational, rational_odd_root
+from .gaussian import RationalLike, as_rational, rational_odd_root
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 
@@ -45,39 +48,19 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecisionResult:
+    """The verdict of decide_equiv: whether some real r != 0 relates the two
+    forms, and that r when it is rational (None otherwise).  An equivalent
+    pair with rational_witness None is equivalent over the reals only."""
+
     equivalent: bool
     rational_witness: Optional[Fraction]
-    certificate: Optional[tuple[Fraction, StructuredMatrix]]
-
-    def __post_init__(self):
-        if self.certificate is not None and self.rational_witness is None:
-            raise InternalConsistencyError("certificate without a rational witness")
-
-    def certificate_json(self) -> Optional[dict]:
-        """The certificate as the document `equiv --out` writes and
-        `verify-certificate` reads, or None without one."""
-        if self.certificate is None:
-            return None
-        r, n = self.certificate
-        return {"r": format_rational(r), "N": n.to_json()}
-
-    def to_json(self) -> dict:
-        witness = None
-        if self.rational_witness is not None:
-            witness = format_rational(self.rational_witness)
-        return {
-            "equivalent": self.equivalent,
-            # a real r exists exactly when the forms are equivalent
-            "witness_exists_over_reals": self.equivalent,
-            "rational_witness": witness,
-            "certificate": self.certificate_json(),
-        }
 
 
-def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
-                 with_certificate: bool = True) -> DecisionResult:
-    """Decide mu_h ~ mu_h2 for the weight (2, 2m+1) family."""
-    if m < 1:
+def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int) -> DecisionResult:
+    """Decide mu_h ~ mu_h2 for the weight (2, 2m+1) family: the verdict and
+    the rational witness r, if any; build_certificate constructs the
+    conjugator for such an r."""
+    if index(m) < 1:
         raise ValueError("m must be a positive integer")
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
@@ -86,7 +69,7 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
     c = h.truncate_mod(m)
     c2 = h2.truncate_mod(m)
     if c._re.keys() != c2._re.keys():
-        return DecisionResult(False, None, None)
+        return DecisionResult(False, None)
 
     witness = Fraction(1)  # an empty support admits every r
     if c._re:
@@ -95,17 +78,15 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int,
         rho_p = rho[pivot]
         for j in rho:
             if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
-                return DecisionResult(False, None, None)
+                return DecisionResult(False, None)
         witness = rational_odd_root(rho_p, 2 * pivot + 1)
-    cert = None
-    if witness is not None and with_certificate:
-        cert = build_certificate(h, h2, m, witness)
-    return DecisionResult(True, witness, cert)
+    return DecisionResult(True, witness)
 
 
 def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
-                      r: RationalLike) -> tuple[Fraction, StructuredMatrix]:
-    """Produce (r, N) with N * M_h = M_h'' * gamma(N) for h'' = r*h2(r^2 T).
+                      r: RationalLike) -> StructuredMatrix:
+    """The conjugator N with N * M_h = M_h'' * gamma(N) for h'' = r*h2(r^2 T),
+    given a witness r (the rational_witness of decide_equiv).
 
     N = K_h'' * K_h^-1 is computed in the Laurent group and must come out
     polynomial with determinant 1; every one of those facts is re-verified
@@ -134,7 +115,7 @@ def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     dst = make_twist(spec_dst)
     if conjugator * src != dst * conjugator.galois():
         raise InternalConsistencyError("certificate fails to conjugate the twists")
-    return r, conjugator
+    return conjugator
 
 
 def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
@@ -144,7 +125,7 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     _require_real_poly(h, "h")
     _require_real_poly(h2, "h2")
     r = as_rational(r)
-    if not r or conjugator.e != 2 * m + 1:
+    if not r or conjugator.e != 2 * index(m) + 1:
         return False
     src = make_twist(FormSpec(m, h))
     dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
@@ -160,7 +141,7 @@ def equivalence_key(h: LaurentPoly, m: int) -> tuple:
     c_j -> r^(2j+1) c_j both powers pick up r^((2j+1)(2p+1)), so the ratios are
     invariant; equality of two keys is the cross condition decide_equiv checks.
     """
-    if m < 1:
+    if index(m) < 1:
         raise ValueError("m must be a positive integer")
     _require_real_poly(h, "h")
     c = h.truncate_mod(m)
@@ -190,7 +171,7 @@ def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
     classes = list(groups.values())
 
     def same(i: int, j: int) -> bool:
-        return decide_equiv(forms[i], forms[j], m, with_certificate=False).equivalent
+        return decide_equiv(forms[i], forms[j], m).equivalent
 
     for rep, *members in classes:
         for i in members:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
@@ -61,7 +62,7 @@ class FormSpec:
     h: LaurentPoly
 
     def __post_init__(self):
-        if self.m < 1:
+        if index(self.m) < 1:
             raise ValueError("m must be a positive integer")
         _require_real_poly(self.h, "h")
 

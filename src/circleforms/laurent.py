@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Optional, Union
 
 from .gaussian import GaussianRational, RationalLike, as_rational, power
@@ -223,7 +224,7 @@ class LaurentPoly(SparsePoly):
 
     __slots__ = ()
 
-    _key = _unkey = int
+    _key = _unkey = index  # an exponent is an int: a float or Fraction raises TypeError
     _ONE = 0
     _NAMES = ("T",)
 
@@ -239,6 +240,7 @@ class LaurentPoly(SparsePoly):
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[CoeffLike], valuation: int = 0) -> "LaurentPoly":
         """Build from an ascending coefficient list starting at `valuation`."""
+        valuation = index(valuation)
         return cls({valuation + j: c for j, c in enumerate(coeffs)})
 
     @property
@@ -262,7 +264,7 @@ class LaurentPoly(SparsePoly):
 
     def truncate_mod(self, m: int) -> "LaurentPoly":
         """Reduce a polynomial mod T^m: drop every term of exponent >= m."""
-        if m < 1:
+        if index(m) < 1:
             raise ValueError("modulus exponent must be positive")
         if not self.is_polynomial:
             raise ValueError("truncate_mod needs a polynomial, not a Laurent value")

@@ -17,6 +17,8 @@ the holomorphic bundle twist does the same swap without conjugation.
 
 from __future__ import annotations
 
+from operator import index
+
 from .laurent import LaurentPoly
 
 
@@ -24,9 +26,10 @@ class StructuredMatrix:
     __slots__ = ("e", "P", "Q", "S", "R")
 
     def __init__(self, e: int, P: LaurentPoly, Q: LaurentPoly, S: LaurentPoly, R: LaurentPoly):
+        e = index(e)
         if e < 1:
             raise ValueError("cross-exponent e must be a positive integer")
-        self.e = int(e)
+        self.e = e
         self.P = P
         self.Q = Q
         self.S = S

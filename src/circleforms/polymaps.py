@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache, reduce
-from operator import or_
+from operator import index, or_
 from typing import Sequence
 
 from .laurent import LaurentPoly, SparsePoly
@@ -75,7 +75,7 @@ class MultiPoly(SparsePoly):
 
     @staticmethod
     def _key(mono) -> int:
-        mono = tuple(map(int, mono))
+        mono = tuple(map(index, mono))
         if len(mono) != 4 or not 0 <= min(mono) <= max(mono) < 1 << EXP_BITS:
             raise ValueError(f"bad exponent quadruple: {mono}")
         a, b, x, y = mono
@@ -179,7 +179,7 @@ def is_involution(f: PolyMap) -> bool:
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, int, int, int]:
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(map(index, weights))
     if len(weights) != 4 or weights[1] != -weights[0] or weights[3] != -weights[2]:
         raise ValueError(f"weights must look like (k, -k, n, -n): {weights}")
     return weights

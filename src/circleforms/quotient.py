@@ -12,12 +12,14 @@ attempt to classify the induced real forms.
 
 from __future__ import annotations
 
+from operator import index
+
 from .polymaps import MultiPoly, PolyMap
 
 
 def make_invariants(m: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """The four generators (T, W, U, V) for n = 2m+1."""
-    if m < 1:
+    if index(m) < 1:
         raise ValueError("m must be a positive integer")
     n = 2 * m + 1
     return (
@@ -43,7 +45,7 @@ def in_invariant_subring(poly: MultiPoly, m: int) -> bool:
     with n odd forces k - l = 2s and j - i = n*s, and the monomial is
     T^i W^l V^s when s >= 0 and T^j W^k U^(-s) when s < 0.
     """
-    if m < 1:
+    if index(m) < 1:
         raise ValueError("m must be a positive integer")
     n = 2 * m + 1
     return poly.weighted_degrees((2, -2, n, -n)) <= {0}

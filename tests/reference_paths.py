@@ -74,7 +74,7 @@ def pairwise_classify(forms, m):
     verdict = {}
     for i in range(count):
         for j in range(i + 1, count):
-            same = decide_equiv(forms[i], forms[j], m, with_certificate=False).equivalent
+            same = decide_equiv(forms[i], forms[j], m).equivalent
             verdict[(i, j)] = same
             if same:
                 ri, rj = find(i), find(j)

@@ -99,6 +99,15 @@ class TestEquiv:
         assert doc["equivalent"] is True
         assert doc["rational_witness"] == "1/2"
 
+    def test_json_shape(self, capsys):
+        code, out, _ = run(capsys, "equiv", "--m", "2", "--h", "1,1", "--hp", "2,8", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["equivalent"] is True
+        assert doc["rational_witness"] == "1/2"
+        assert doc["certificate"]["r"] == "1/2"
+        assert doc["certificate"]["N"]["e"] == 5
+
 
 class TestVerifyCertificate:
     def test_round_trip(self, capsys, tmp_path):
@@ -212,6 +221,22 @@ class TestInternalErrors:
         assert err.startswith(f"internal error: {type(exc).__name__}: kernel bug")
         assert "Traceback" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--out", "cert.json"]],
+                             ids=["text", "json", "out"])
+    def test_failed_certificate_build_exits_3_in_every_mode(self, capsys, monkeypatch,
+                                                            tmp_path, flags):
+        # a rational witness always has its certificate built and re-checked,
+        # also in text mode, which does not print it
+        def broken(*args):
+            raise InternalConsistencyError("certificate determinant is not 1")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_certificate", broken)
+        code, out, err = run(capsys, "equiv", "--m", "2", "--h", "1,1", "--hp", "2,8", *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: InternalConsistencyError: certificate determinant")
+        assert not (tmp_path / "cert.json").exists()
+
 
 class TestOracle:
     def test_findings_json(self, capsys, tmp_path):
@@ -221,6 +246,19 @@ class TestOracle:
         assert code == 0
         findings = json.loads(out_path.read_text())
         assert findings and findings[0]["r"] == "1/2"
+
+    def test_findings_are_certificates(self, capsys, tmp_path):
+        # each finding is a document that verify-certificate accepts as it is
+        out_path = tmp_path / "found.json"
+        pair = ("--m", "2", "--h", "1,1", "--hp", "2,8")
+        run(capsys, "oracle", *pair, "--deg", "4", "--r-grid", "1,1/2", "--out", str(out_path))
+        findings = json.loads(out_path.read_text())
+        assert findings
+        for k, finding in enumerate(findings):
+            cert = tmp_path / f"finding{k}.json"
+            cert.write_text(json.dumps(finding))
+            code, out, _ = run(capsys, "verify-certificate", *pair, "--file", str(cert))
+            assert (code, out) == (0, "certificate valid\n")
 
     def test_negative_search_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, "oracle", "--m", "1", "--h", "0", "--hp", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleforms import (
+    DecisionResult,
     FormSpec,
     GaussianRational,
     LaurentPoly,
@@ -34,25 +36,24 @@ def poly(*coeffs):
 
 
 class TestDecide:
+    def test_result_is_the_verdict_and_the_witness(self):
+        fields = [f.name for f in dataclasses.fields(DecisionResult)]
+        assert fields == ["equivalent", "rational_witness"]
+
     def test_halving_pair(self):
         result = decide_equiv(poly(1, 1), poly(2, 8), 2)
-        assert result.equivalent
-        assert result.to_json()["witness_exists_over_reals"] is True
+        assert result.equivalent is True
         assert result.rational_witness == Fraction(1, 2)
-        assert result.certificate is not None
 
     def test_linear_vs_twisted(self):
         result = decide_equiv(zero, one, 1)
-        assert not result.equivalent
-        assert result.to_json()["witness_exists_over_reals"] is False
+        assert result.equivalent is False
         assert result.rational_witness is None
-        assert result.certificate is None
 
     def test_irrational_witness_case(self):
         result = decide_equiv(poly(0, 1), poly(0, 3), 2)
         assert result.equivalent
         assert result.rational_witness is None  # r^3 = 1/3 has no rational root
-        assert result.certificate is None
 
     def test_reflexive_with_unit_witness(self):
         h = poly(2, -3, 1)
@@ -96,28 +97,21 @@ class TestDecide:
         assert type(from_spec.value) is type(from_decide.value)
         assert str(from_spec.value) == str(from_decide.value)
 
-    def test_json_shape(self):
-        obj = decide_equiv(poly(1, 1), poly(2, 8), 2).to_json()
-        assert obj["equivalent"] is True
-        assert obj["rational_witness"] == "1/2"
-        assert obj["certificate"]["r"] == "1/2"
-        assert obj["certificate"]["N"]["e"] == 5
-
     @given(h=real_polys, junk=real_polys, junk2=real_polys, m=st.integers(1, 3))
     @settings(max_examples=60)
     def test_truncation_coherence(self, h, junk, junk2, m):
         # verdict and witness depend only on the polynomials mod T^m
         tail = LaurentPoly.monomial(m) * junk
         tail2 = LaurentPoly.monomial(m) * junk2
-        base = decide_equiv(h, h + tail2, m, with_certificate=False)
-        bumped = decide_equiv(h + tail, h + tail2, m, with_certificate=False)
+        base = decide_equiv(h, h + tail2, m)
+        bumped = decide_equiv(h + tail, h + tail2, m)
         assert base.equivalent and bumped.equivalent
         assert base.rational_witness == bumped.rational_witness
 
     @given(h=real_polys, r=nonzero_rationals, m=st.integers(1, 3))
     @settings(max_examples=60)
     def test_scaling_coherence(self, h, r, m):
-        result = decide_equiv(h, h.apply_scaling(r), m, with_certificate=False)
+        result = decide_equiv(h, h.apply_scaling(r), m)
         assert result.equivalent
         if not h.truncate_mod(m).is_zero:
             assert result.rational_witness == 1 / r
@@ -125,8 +119,8 @@ class TestDecide:
     @given(h=real_polys, h2=real_polys, m=st.integers(1, 3))
     @settings(max_examples=60)
     def test_symmetry(self, h, h2, m):
-        fwd = decide_equiv(h, h2, m, with_certificate=False)
-        bwd = decide_equiv(h2, h, m, with_certificate=False)
+        fwd = decide_equiv(h, h2, m)
+        bwd = decide_equiv(h2, h, m)
         assert fwd.equivalent == bwd.equivalent
         if fwd.equivalent and fwd.rational_witness and bwd.rational_witness:
             if not h.truncate_mod(m).is_zero:
@@ -150,19 +144,17 @@ class TestM2Conditions:
         values = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
         for c0, c1, c0p, c1p in itertools.product(values, repeat=4):
             direct = case_m2_conditions(c0, c1, c0p, c1p)
-            decided = decide_equiv(poly(c0, c1), poly(c0p, c1p), 2,
-                                   with_certificate=False).equivalent
+            decided = decide_equiv(poly(c0, c1), poly(c0p, c1p), 2).equivalent
             assert direct == decided, (c0, c1, c0p, c1p)
 
 
 class TestCertificates:
     def test_identity_certificate(self):
-        r, conj = build_certificate(poly(1, 1), poly(2, 8), 2, Fraction(1, 2))
-        assert r == Fraction(1, 2)
+        conj = build_certificate(poly(1, 1), poly(2, 8), 2, Fraction(1, 2))
         assert conj == StructuredMatrix.identity(5)
 
     def test_monomial_target(self):
-        r, conj = build_certificate(zero, LaurentPoly.monomial(2), 2, Fraction(1))
+        conj = build_certificate(zero, LaurentPoly.monomial(2), 2, Fraction(1))
         assert conj == make_splitting(FormSpec(2, LaurentPoly.monomial(2)))
         assert conj.in_lambda()
 
@@ -170,9 +162,9 @@ class TestCertificates:
         # forms differing only above T^m still get polynomial conjugators
         h = poly(1, 0, 0, 2)
         h2 = poly(1, 0, 5)
-        r, conj = build_certificate(h, h2, 2, Fraction(1))
+        conj = build_certificate(h, h2, 2, Fraction(1))
         assert conj.in_lambda()
-        assert verify_certificate(h, h2, 2, r, conj)
+        assert verify_certificate(h, h2, 2, Fraction(1), conj)
 
     def test_non_witness_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +185,7 @@ class TestCertificates:
             return original(matrix)
 
         monkeypatch.setattr(StructuredMatrix, "det", counted)
-        _, conj = build_certificate(h, h2, m, r)
+        conj = build_certificate(h, h2, m, r)
         assert len(calls) == 2
         assert calls[-1] is conj
 
@@ -203,7 +195,8 @@ class TestCertificates:
 
     def test_verify_rejects_tampered_matrix(self):
         h, h2 = poly(1, 1), poly(2, 8)
-        r, conj = build_certificate(h, h2, 2, Fraction(1, 2))
+        r = Fraction(1, 2)
+        conj = build_certificate(h, h2, 2, r)
         tampered = StructuredMatrix(conj.e, conj.P + T, conj.Q, conj.S, conj.R)
         assert not verify_certificate(h, h2, 2, r, tampered)
         # a unit of the wrong cross exponent (e = 3, while m = 2 needs 5)
@@ -213,7 +206,7 @@ class TestCertificates:
 
     def test_verify_rejects_wrong_r(self):
         h, h2 = poly(1, 1), poly(2, 8)
-        r, conj = build_certificate(h, h2, 2, Fraction(1, 2))
+        conj = build_certificate(h, h2, 2, Fraction(1, 2))
         assert not verify_certificate(h, h2, 2, Fraction(1), conj)
 
     @given(h=real_polys, r=nonzero_rationals, m=st.integers(1, 2))
@@ -221,14 +214,14 @@ class TestCertificates:
     def test_scaled_pairs_certify(self, h, r, m):
         h2 = h.apply_scaling(r)
         witness = 1 / r
-        got_r, conj = build_certificate(h, h2, m, witness)
-        assert verify_certificate(h, h2, m, got_r, conj)
+        conj = build_certificate(h, h2, m, witness)
+        assert verify_certificate(h, h2, m, witness, conj)
 
     def test_soundness_reverification(self):
         h, h2, m = poly(0, 2), poly(0, 2, 7), 2
-        result = decide_equiv(h, h2, m)
-        assert result.certificate is not None
-        r, conj = result.certificate
+        r = decide_equiv(h, h2, m).rational_witness
+        assert r is not None
+        conj = build_certificate(h, h2, m, r)
         target = make_twist(FormSpec(m, h2.apply_scaling(r)))
         assert conjugates_by_inverse(conj, make_twist(FormSpec(m, h)), target)
 
@@ -313,7 +306,7 @@ class TestClassifyAgainstPairwise:
     def test_key_equality_is_the_verdict(self, pair, m):
         h, h2 = pair
         same_key = equivalence_key(h, m) == equivalence_key(h2, m)
-        assert same_key == decide_equiv(h, h2, m, with_certificate=False).equivalent
+        assert same_key == decide_equiv(h, h2, m).equivalent
 
     def test_real_only_pair_shares_a_key(self):
         assert equivalence_key(poly(0, 1), 2) == equivalence_key(poly(0, 3), 2)

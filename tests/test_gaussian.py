@@ -7,18 +7,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circleforms import (
+    FormSpec,
     GaussianRational,
     LaurentPoly,
     MultiPoly,
     StructuredMatrix,
     build_certificate,
+    classify,
+    decide_equiv,
     format_rational,
+    linear_circle_form,
+    make_invariants,
     parse_rational,
     rational_odd_root,
     search_conjugator,
     verify_certificate,
+    verify_relation,
+    weight_check,
 )
+from circleforms.equivalence import equivalence_key
 from circleforms.gaussian import DigitLimitError, integer_kth_root
+from circleforms.quotient import in_invariant_subring
 
 from strategies import gaussians, nonzero_gaussians, rationals
 
@@ -100,6 +109,51 @@ class TestExactInputsOnly:
     @pytest.mark.parametrize("value", [1, Fraction(1)], ids=["int", "Fraction"])
     def test_int_and_fraction_accepted(self, entry, value):
         self.ENTRY_POINTS[entry](value)
+
+
+ONE_PLUS_T = LaurentPoly.from_coeffs([1, 1])
+ONE_PLUS_5T = LaurentPoly.from_coeffs([1, 5])
+
+
+class TestIntegerParametersOnly:
+    """Every exponent, cross-exponent e, valuation and family parameter m is
+    read through operator.index: an int is taken, and a float, a string or a
+    Fraction raises TypeError, integral or not, instead of being truncated
+    (decide_equiv at m = 1.5 once kept T and answered inequivalent)."""
+
+    ENTRY_POINTS = {
+        "LaurentPoly exponent": lambda k: LaurentPoly({k: 1}),
+        "LaurentPoly.monomial": LaurentPoly.monomial,
+        "LaurentPoly.from_coeffs valuation": lambda k: LaurentPoly.from_coeffs([1, 2], valuation=k),
+        "truncate_mod": lambda m: ONE_PLUS_T.truncate_mod(m),
+        "MultiPoly exponent": lambda k: MultiPoly.monomial((k, 0, 0, 0)),
+        "StructuredMatrix e": lambda e: StructuredMatrix(
+            e, LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.one()),
+        "weight_check weights": lambda k: weight_check(linear_circle_form(), (2 * k, -2, 3, -3)),
+        "FormSpec m": lambda m: FormSpec(m, ONE_PLUS_T),
+        "decide_equiv m": lambda m: decide_equiv(ONE_PLUS_T, ONE_PLUS_5T, m),
+        "equivalence_key m": lambda m: equivalence_key(ONE_PLUS_T, m),
+        "classify m": lambda m: classify([ONE_PLUS_T, ONE_PLUS_5T], m),
+        "build_certificate m": lambda m: build_certificate(ONE_PLUS_T, ONE_PLUS_T, m, 1),
+        "verify_certificate m": lambda m: verify_certificate(
+            LaurentPoly.one(), LaurentPoly.one(), m, 1, StructuredMatrix.identity(3)),
+        "search_conjugator m": lambda m: search_conjugator(
+            LaurentPoly.one(), LaurentPoly.one(), m, 0, [1]),
+        "make_invariants m": make_invariants,
+        "verify_relation m": verify_relation,
+        "in_invariant_subring m": lambda m: in_invariant_subring(MultiPoly.constant(1), m),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", Fraction(3, 2), Fraction(1)],
+                             ids=["float", "integral-float", "str", "Fraction", "integral-Fraction"])
+    def test_non_integer_raises_type_error(self, entry, value):
+        with pytest.raises(TypeError):
+            self.ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_int_accepted(self, entry):
+        self.ENTRY_POINTS[entry](1)
 
 
 class TestIntegralStorage:

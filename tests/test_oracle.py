@@ -277,7 +277,7 @@ class TestProofConditions:
                     proof_conditions(h, h2.apply_scaling(r), 2, alpha)
                     for r in R_GRID for alpha in ALPHA_GRID
                 )
-                dec = decide_equiv(h, h2, 2, with_certificate=False)
+                dec = decide_equiv(h, h2, 2)
                 expected = dec.equivalent and dec.rational_witness in R_GRID
                 assert scan == expected, (hc, h2c)
 
