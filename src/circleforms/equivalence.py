@@ -164,6 +164,8 @@ def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
     class would be caught rather than silently returned.  That costs
     (n - k) + k(k-1)/2 decisions for n forms in k classes.
     """
+    if index(m) < 1:
+        raise ValueError("m must be a positive integer")
     groups: dict[tuple, list[int]] = {}
     for i, h in enumerate(forms):
         _require_real_poly(h, f"forms[{i}]")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import index
 from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -136,7 +137,7 @@ def rational_odd_root(q: RationalLike, k: int) -> Optional[Fraction]:
     Odd k makes the real root unique, with the sign carried by the numerator;
     r is rational exactly when numerator and denominator are both k-th powers.
     """
-    if k < 1 or k % 2 == 0:
+    if index(k) < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
     q = as_rational(q)
     num = integer_kth_root(abs(q.numerator), k)
@@ -151,7 +152,8 @@ def rational_odd_root(q: RationalLike, k: int) -> Optional[Fraction]:
 def power(base, n: int, one):
     """base ** n by repeated squaring, for an int n >= 0 and the unit `one`
     of base's ring."""
-    if not isinstance(n, int) or n < 0:
+    n = index(n)
+    if n < 0:
         raise ValueError("exponent must be a nonnegative integer")
     result = None
     while n:

@@ -10,10 +10,11 @@ matrices U and V,
     U * M = M' * swap(U)      and      V * M = -M' * swap(V),
 
 where swap is the galois rearrangement without conjugation.  Each block is
-an exact nullspace computation, done by fraction-free elimination over the
-integers after one common denominator is cleared.  Each kernel basis vector
-is an integer pair (U, D), standing for U / D, and the candidates are
-integer combinations of those pairs, so no rational is built.
+an exact nullspace computation over the integers after one common
+denominator is cleared: a kernel basis is updated row by row, never
+eliminating the rows.  Each kernel basis vector is an integer pair (U, D),
+standing for U / D, and the candidates are integer combinations of those
+pairs, so no rational is built.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .forms import FormSpec, make_twist, verify_conjugation
@@ -73,64 +75,50 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _rref(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over Z.
-
-    Returns (rows, pivots): primitive integer rows, each zero in every other
-    pivot column.  Dividing each row by its pivot entry gives the reduced
-    row echelon form, which is unique.  Each update (a/g)*row - (f/g)*lead,
-    with g = gcd(a, f), is a nonzero multiple of the rational update
-    row - (f/a)*lead, so the pivots are those of rational elimination."""
-    work = [_primitive(row) for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r]
-        a = lead[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                g = gcd(a, f)
-                ag, fg = a // g, f // g
-                work[i] = _primitive([ag * x - fg * y for x, y in zip(row, lead)])
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
 def nullspace(system: LinearSystem) -> list[IntVector]:
     """Basis of the solution space of the homogeneous system: for each free
-    column f, the reduced-echelon vector with a 1 at f as (U, D), D its least
-    denominator, so U is primitive and U[f] = D.  Every U multiplies back to
-    an exactly-zero residual."""
+    column f of its reduced row echelon form (RREF), the RREF kernel vector
+    n_f with a 1 at f as (U, D), D its least denominator, so U is primitive
+    and U[f] = D.  Every U multiplies back to an exactly-zero residual.
+
+    The rows are not eliminated: a kernel basis of the rows read so far is
+    kept, starting as the identity, each vector v_c keeping the column c of
+    its unit vector.  A row whose dot products d with every v_c vanish is
+    redundant and costs only those products.  Otherwise v_k, of least column
+    k with d_k != 0, is dropped with its column, and every other v_c becomes
+    the primitive form of (d_k/g)*v_c - (d_c/g)*v_k, g = gcd(d_k, d_c): zero
+    on this row and still on the rows before.  An empty basis ends the work
+    (full column rank); later rows are only checked for integers.
+
+    The kept vectors are already the canonical basis.  By induction v_c is
+    nonzero at c, zero at every other kept column, and nonzero elsewhere
+    only at dropped columns left of c (v_k enters v_c only if d_c != 0, and
+    then k < c), so its last nonzero entry is at c.  As the RREF row with
+    pivot p is zero left of p, n_f is nonzero at a pivot column only left
+    of f, and a kernel vector sum x_f n_f has its last nonzero entry at the
+    largest free f with x_f != 0.  So every kept column is free, and as the
+    kept vectors are a kernel basis, the kept columns are the free columns.
+    Zero at every other free column, the primitive v_f is +-U."""
     ncols = len(system.labels)
-    rref_rows, pivots = _rref(system.rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+    free = list(range(ncols))
+    kernel = [[int(i == j) for j in range(ncols)] for i in free]
+    for row in system.rows:
+        if not any(row):
             continue
-        # U[p] / D = -row[free] / row[p]; D is the lcm of the reduced denominators
-        entries = [(p, row[free], row[p]) for row, p in zip(rref_rows, pivots) if row[free]]
-        den = 1  # pairwise, not lcm(*...): an argument tuple per vector raised peak RSS
-        for _, f, a in entries:
-            den = lcm(den, a // gcd(a, f))
-        vec = [0] * ncols
-        vec[free] = den
-        for p, f, a in entries:
-            vec[p] = -f * den // a
-        basis.append((vec, den))
-    return basis
+        gcd(*row)  # a rational entry raises TypeError, even in a redundant row
+        if not kernel:
+            continue
+        dots = [sum(map(mul, row, v)) for v in kernel]
+        k = next((i for i, d in enumerate(dots) if d), None)
+        if k is None:
+            continue
+        del free[k]
+        lead, a = kernel.pop(k), dots.pop(k)
+        for i, d in enumerate(dots):
+            if d:
+                g = gcd(a, d)
+                kernel[i] = _primitive([a // g * x - d // g * y for x, y in zip(kernel[i], lead)])
+    return [(v, v[f]) if v[f] > 0 else ([-x for x in v], -v[f]) for f, v in zip(free, kernel)]
 
 
 def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,

@@ -83,6 +83,11 @@ class TestDecide:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             decide_equiv(one, one, 0)
+        # classify checks m before grouping, so also with no forms
+        with pytest.raises(ValueError):
+            classify([], 0)
+        with pytest.raises(TypeError):
+            classify([], 1.5)
 
     @pytest.mark.parametrize("bad", [
         [1, 2],

@@ -134,6 +134,9 @@ class TestIntegerParametersOnly:
         "decide_equiv m": lambda m: decide_equiv(ONE_PLUS_T, ONE_PLUS_5T, m),
         "equivalence_key m": lambda m: equivalence_key(ONE_PLUS_T, m),
         "classify m": lambda m: classify([ONE_PLUS_T, ONE_PLUS_5T], m),
+        "classify m, no forms": lambda m: classify([], m),
+        "** exponent": lambda k: ONE_PLUS_T ** k,
+        "rational_odd_root k": lambda k: rational_odd_root(8, k),
         "build_certificate m": lambda m: build_certificate(ONE_PLUS_T, ONE_PLUS_T, m, 1),
         "verify_certificate m": lambda m: verify_certificate(
             LaurentPoly.one(), LaurentPoly.one(), m, 1, StructuredMatrix.identity(3)),
@@ -154,6 +157,16 @@ class TestIntegerParametersOnly:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_int_accepted(self, entry):
         self.ENTRY_POINTS[entry](1)
+
+    def test_exponents_and_roots(self):
+        for bad in (lambda: LaurentPoly.one() ** 1.5, lambda: LaurentPoly.one() ** Fraction(2),
+                    lambda: rational_odd_root(8, 3.0)):
+            with pytest.raises(TypeError):
+                bad()
+        # a negative integer keeps its ValueError, as an even k and a negative
+        # exponent do (test_even_k_rejected, test_pow_takes_nonnegative_exponents)
+        with pytest.raises(ValueError):
+            rational_odd_root(8, -3)
 
 
 class TestIntegralStorage:

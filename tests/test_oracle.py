@@ -74,9 +74,20 @@ class TestNullspace:
             LinearSystem([[1, 2]], [("P", 0, "re")])
 
     def test_rational_rows_are_refused(self):
-        sys = LinearSystem([[F(1, 2), F(1)]], [("P", 0, "re"), ("P", 1, "re")])
-        with pytest.raises(TypeError):
-            nullspace(sys)
+        labels = [("P", 0, "re"), ("P", 1, "re")]
+        for rows in (
+            [[F(1, 2), F(1)]],
+            # a row that depends on the rows before it
+            [[1, 2], [F(2), F(4)]],
+            [[1, 2], [2.0, 4.0]],
+            # a row read once the kernel is already empty
+            [[1, 0], [0, 1], [F(1, 2), 0]],
+            [[1, 0], [0, 1], [0, 0], [0.0, 1.5]],
+        ):
+            with pytest.raises(TypeError):
+                nullspace(LinearSystem(rows, labels))
+        # a zero row is skipped whatever its entries' type
+        assert nullspace(LinearSystem([[1, -1], [F(0), 0.0]], labels)) == [([1, 1], 1)]
 
 
 class TestSolveLinear:

@@ -1,7 +1,8 @@
-"""Differential tests: the integer elimination, the integer candidate scan and
+"""Differential tests: the integer kernel bases, the integer candidate scan and
 its determinant test against the rational reference path in
 ``reference_oracle``."""
 
+import itertools
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,12 +22,12 @@ from circleforms import (
     nullspace,
 )
 from circleforms import oracle
+from circleforms.acceptance import ORACLE_R_GRID
 from circleforms.cli import main
 from circleforms.oracle import (
     _build_matrix,
     _candidates,
     _det_is_unit,
-    _rref,
 )
 
 from reference_oracle import (
@@ -61,8 +62,23 @@ def matrices(draw, max_rows=6, max_cols=8):
     return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows], ncols
 
 
-def _normalized(rows, pivots):
-    return [[F(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+def _basis(rows, ncols):
+    return nullspace(LinearSystem(rows, [("P", j, "re") for j in range(ncols)]))
+
+
+def _rref_from_basis(basis, ncols):
+    """The nonzero RREF rows and pivots that a kernel basis in canonical
+    form determines: the pivots are the columns that are not free, and the
+    row with pivot p holds -U[p] / D at each free column."""
+    free = [next(j for j in reversed(range(ncols)) if vec[j]) for vec, _ in basis]
+    pivots = [c for c in range(ncols) if c not in free]
+    rows = []
+    for p in pivots:
+        row = [F(int(c == p)) for c in range(ncols)]
+        for (vec, den), f in zip(basis, free):
+            row[f] = -F(vec[p], den)
+        rows.append(row)
+    return rows, pivots
 
 
 class TestEliminationAgainstReference:
@@ -70,18 +86,15 @@ class TestEliminationAgainstReference:
     @settings(max_examples=300)
     def test_rref_rows_and_pivots(self, case):
         rows, ncols = case
-        ref_rows, ref_pivots = fraction_rref(rows, ncols)
-        int_rows, pivots = _rref(rows, ncols)
-        assert pivots == ref_pivots
-        assert all(type(x) is int for row in int_rows for x in row)
-        assert _normalized(int_rows, pivots) == ref_rows
+        basis = _basis(rows, ncols)
+        assert all(type(x) is int for vec, den in basis for x in (*vec, den))
+        assert _rref_from_basis(basis, ncols) == fraction_rref(rows, ncols)
 
     @given(matrices())
     @settings(max_examples=200)
     def test_nullspace_basis(self, case):
         rows, ncols = case
-        system = LinearSystem(rows, [("P", j, "re") for j in range(ncols)])
-        basis = nullspace(system)
+        basis = _basis(rows, ncols)
         ref = fraction_nullspace(rows, ncols)
         assert [[F(x, den) for x in vec] for vec, den in basis] == ref
         assert basis == as_pairs(ref)
@@ -95,20 +108,45 @@ class TestEliminationAgainstReference:
     @settings(max_examples=100)
     def test_scaled_integer_rows_give_the_same_form(self, case, data):
         rows, ncols = case
-        # positive factors: each primitive row keeps its sign
         factors = data.draw(st.lists(st.integers(1, 6),
                                      min_size=len(rows), max_size=len(rows)))
         scaled = [[k * x for x in row] for k, row in zip(factors, rows)]
-        assert _rref(scaled, ncols) == _rref(rows, ncols)
+        assert _basis(scaled, ncols) == _basis(rows, ncols) == \
+            as_pairs(fraction_nullspace(scaled, ncols))
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100)
+    def test_basis_ignores_row_order_and_nonzero_scaling(self, case, data):
+        rows, ncols = case
+        factors = data.draw(st.lists(st.integers(-6, 6).filter(bool),
+                                     min_size=len(rows), max_size=len(rows)))
+        scaled = data.draw(st.permutations([[k * x for x in row]
+                                            for k, row in zip(factors, rows)]))
+        assert _basis(scaled, ncols) == _basis(rows, ncols)
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100)
+    def test_basis_ignores_zero_and_duplicate_rows(self, case, data):
+        rows, ncols = case
+        extra = data.draw(st.lists(st.one_of(st.just([0] * ncols), st.sampled_from(rows))
+                                   if rows else st.just([0] * ncols), max_size=4))
+        positions = data.draw(st.lists(st.integers(0, len(rows)),
+                                       min_size=len(extra), max_size=len(extra)))
+        padded = [list(row) for row in rows]
+        for at, row in zip(positions, extra):
+            padded.insert(at, list(row))
+        assert _basis(padded, ncols) == _basis(rows, ncols)
 
     def test_wide_and_empty_systems(self):
-        assert _rref([], 3) == ([], [])
+        assert _basis([], 3) == as_pairs(fraction_nullspace([], 3)) == \
+            [([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)]
         assert nullspace(LinearSystem([], [("P", 0, "re"), ("P", 1, "re")])) == \
             as_pairs(fraction_nullspace([], 2)) == [([1, 0], 1), ([0, 1], 1)]
         rows = [[0, 2, 4, 0, 6], [0, 1, 2, 0, 3]]
-        int_rows, pivots = _rref(rows, 5)
-        assert pivots == [1]
-        assert int_rows == [[0, 1, 2, 0, 3]]
+        assert fraction_rref(rows, 5) == ([[0, 1, 2, 0, 3]], [1])
+        assert _basis(rows, 5) == as_pairs(fraction_nullspace(rows, 5)) == \
+            [([1, 0, 0, 0, 0], 1), ([0, -2, 1, 0, 0], 1),
+             ([0, 0, 0, 1, 0], 1), ([0, -3, 0, 0, 1], 1)]
 
 
 def poly(*coeffs):
@@ -205,6 +243,21 @@ class TestScanAgainstReference:
                        for row in block.rows for x in row)
             assert nullspace(re_block) == as_pairs(re_basis)
             assert nullspace(im_block) == as_pairs(im_basis)
+
+    def test_bases_match_on_every_oracle_agreement_system(self):
+        # both blocks at every (h, h2, r) of the criterion's grid; equal
+        # systems (the same h2 rescaled, or a zero h2) are solved once
+        systems = set()
+        for hc, h2c in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=2):
+            m_src = make_twist(FormSpec(2, poly(*hc)))
+            for r in ORACLE_R_GRID:
+                m_dst = make_twist(FormSpec(2, poly(*h2c).apply_scaling(r)))
+                for sign in (+1, -1):
+                    block = oracle._conjugation_block(m_src, m_dst, 6, sign)
+                    systems.add(tuple(map(tuple, block.rows)))
+        assert len(systems) > 400
+        for rows in systems:
+            assert _basis(rows, 28) == as_pairs(fraction_nullspace(rows, 28))
 
     @pytest.mark.parametrize("argv", ORACLE_ARGVS)
     def test_oracle_json_bytes_match_reference(self, argv, capsys, monkeypatch):
