@@ -29,14 +29,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .equivalence import build_certificate, decide_equiv, verify_certificate
+from .equivalence import build_certificate, classify, decide_equiv, verify_certificate
 from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
 from .gaussian import DigitLimitError, format_rational, json_rational, parse_rational
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import MAX_DEG_BOUND, search_conjugator
 from .quotient import induced_images, make_invariants, verify_relation
-from . import equivalence
 
 
 class UsageError(Exception):
@@ -207,7 +206,7 @@ def cmd_verify_certificate(args) -> int:
 def cmd_classify(args) -> int:
     m = _require_m(args.m)
     forms = _load_file(args.file, "forms", _read_forms)
-    classes = equivalence.classify(forms, m)
+    classes = classify(forms, m)
     lines = [f"{len(forms)} forms fall into {len(classes)} classes"]
     for idx, members in enumerate(classes):
         shown = ", ".join(str(forms[i]) for i in members)

@@ -17,15 +17,18 @@ x -> x^(2p+1) is injective on the reals.  Odd exponents also make the signs
 self-consistent, so no separate sign analysis is needed (an even-power
 variant of this reduction would be wrong).
 
-r itself is rational iff rho_p has a rational (2p+1)-th root; only then can
-build_certificate construct the explicit conjugator for r (an irrational
-witness would need an algebraic-number field, which this package
-deliberately avoids).  Deciding and constructing are separate calls: the
-verdict never builds a matrix.
+Separating the two forms in each cross condition gives
+c_j^(2p+1) / c_p^(2j+1) == c2_j^(2p+1) / c2_p^(2j+1): the support and these
+ratios are a complete invariant of one form, equivalence_key.  The cross
+condition is written only there.  decide_equiv is key equality, and classify
+groups forms by key, with no pairwise decisions.
 
-Separating the two forms in the cross condition gives a complete invariant of
-one form (equivalence_key), so classify finds the classes by grouping, not
-by pairwise decisions.
+Equal keys have equal supports, hence the same pivot p.  The witness r is
+then the (2p+1)-th root of rho_p = c_p / c2_p, and it is rational iff rho_p
+has a rational (2p+1)-th root; only then can build_certificate construct the
+explicit conjugator for r (an irrational witness would need an
+algebraic-number field, which this package deliberately avoids).  Deciding
+and constructing are separate calls: the verdict never builds a matrix.
 """
 
 from __future__ import annotations
@@ -60,27 +63,14 @@ def decide_equiv(h: LaurentPoly, h2: LaurentPoly, m: int) -> DecisionResult:
     """Decide mu_h ~ mu_h2 for the weight (2, 2m+1) family: the verdict and
     the rational witness r, if any; build_certificate constructs the
     conjugator for such an r."""
-    if index(m) < 1:
-        raise ValueError("m must be a positive integer")
-    _require_real_poly(h, "h")
-    _require_real_poly(h2, "h2")
-
-    # h and h2 are real, so each is its real numerators over its denominator
-    c = h.truncate_mod(m)
-    c2 = h2.truncate_mod(m)
-    if c._re.keys() != c2._re.keys():
+    c = _coefficients(h, m, "h")
+    c2 = _coefficients(h2, m, "h2")
+    if _key(c) != _key(c2):
         return DecisionResult(False, None)
-
-    witness = Fraction(1)  # an empty support admits every r
-    if c._re:
-        pivot = min(c._re)
-        rho = {j: Fraction(n * c2._den, c2._re[j] * c._den) for j, n in c._re.items()}
-        rho_p = rho[pivot]
-        for j in rho:
-            if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
-                return DecisionResult(False, None)
-        witness = rational_odd_root(rho_p, 2 * pivot + 1)
-    return DecisionResult(True, witness)
+    if not c:
+        return DecisionResult(True, Fraction(1))  # an empty support admits every r
+    pivot = min(c)
+    return DecisionResult(True, rational_odd_root(c[pivot] / c2[pivot], 2 * pivot + 1))
 
 
 def build_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
@@ -132,20 +122,16 @@ def verify_certificate(h: LaurentPoly, h2: LaurentPoly, m: int,
     return verify_conjugation(conjugator, src, dst)
 
 
-def equivalence_key(h: LaurentPoly, m: int) -> tuple:
-    """Complete invariant of mu_h: two forms are equivalent exactly when
-    their keys are equal.
-
-    The key is (S, ratios) with S the ascending support of h mod T^m, p = min S
-    and ratios the values c_j^(2p+1) / c_p^(2j+1) for j in S.  Under
-    c_j -> r^(2j+1) c_j both powers pick up r^((2j+1)(2p+1)), so the ratios are
-    invariant; equality of two keys is the cross condition decide_equiv checks.
-    """
+def _coefficients(h: LaurentPoly, m: int, name: str) -> dict[int, Fraction]:
+    """The coefficients of h mod T^m by exponent, for a real polynomial h."""
     if index(m) < 1:
         raise ValueError("m must be a positive integer")
-    _require_real_poly(h, "h")
+    _require_real_poly(h, name)
     c = h.truncate_mod(m)
-    coeffs = {e: Fraction(n, c._den) for e, n in c._re.items()}
+    return {e: Fraction(n, c._den) for e, n in c._re.items()}
+
+
+def _key(coeffs: dict[int, Fraction]) -> tuple:
     support = tuple(sorted(coeffs))
     if not support:
         return (), ()
@@ -154,15 +140,23 @@ def equivalence_key(h: LaurentPoly, m: int) -> tuple:
     return support, tuple(coeffs[j] ** (2 * p + 1) / c_p ** (2 * j + 1) for j in support)
 
 
+def equivalence_key(h: LaurentPoly, m: int) -> tuple:
+    """Complete invariant of mu_h: two forms are equivalent exactly when
+    their keys are equal, and decide_equiv decides by this equality.
+
+    The key is (S, ratios) with S the ascending support of h mod T^m, p = min S
+    and ratios the values c_j^(2p+1) / c_p^(2j+1) for j in S.  Under
+    c_j -> r^(2j+1) c_j both powers pick up r^((2j+1)(2p+1)), so the ratios are
+    invariant; equality of two keys is the cross condition of the module
+    docstring.
+    """
+    return _key(_coefficients(h, m, "h"))
+
+
 def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
     """Partition indices of `forms` into equivalence classes, ordered by their
-    first index.
-
-    Forms are grouped by equivalence_key.  The grouping is then checked with
-    decide_equiv: every member against its class representative (the first
-    index) and the representatives pairwise, so a key that merged or split a
-    class would be caught rather than silently returned.  That costs
-    (n - k) + k(k-1)/2 decisions for n forms in k classes.
+    first index: the forms grouped by equivalence_key, which is equal exactly
+    for equivalent forms, so no pair is decided.
     """
     if index(m) < 1:
         raise ValueError("m must be a positive integer")
@@ -170,18 +164,4 @@ def classify(forms: Sequence[LaurentPoly], m: int) -> list[list[int]]:
     for i, h in enumerate(forms):
         _require_real_poly(h, f"forms[{i}]")
         groups.setdefault(equivalence_key(h, m), []).append(i)
-    classes = list(groups.values())
-
-    def same(i: int, j: int) -> bool:
-        return decide_equiv(forms[i], forms[j], m).equivalent
-
-    for rep, *members in classes:
-        for i in members:
-            if not same(rep, i):
-                raise InternalConsistencyError(f"forms {rep} and {i} share a key but are inequivalent")
-    reps = [members[0] for members in classes]
-    for a, i in enumerate(reps):
-        for j in reps[a + 1:]:
-            if same(i, j):
-                raise InternalConsistencyError(f"forms {i} and {j} have different keys but are equivalent")
-    return classes
+    return list(groups.values())

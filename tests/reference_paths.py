@@ -2,8 +2,14 @@
 kept as the slow references the closed forms are checked against.  Not used
 by the package.
 
-* ``pairwise_classify``: union-find over all n(n-1)/2 ``decide_equiv``
-  verdicts, then every verdict re-checked against the partition.
+* ``decide_equiv_by_ratios``: the verdict and witness from the cross
+  conditions rho_p^(2j+1) == rho_j^(2p+1) on the ratios rho_j = c_j / c2_j,
+  against which ``decide_equiv`` (equality of ``equivalence_key``) is
+  cross-checked.
+* ``pairwise_classify``: union-find over all n(n-1)/2
+  ``decide_equiv_by_ratios`` verdicts, then every verdict re-checked against
+  the partition; ``classify`` groups by key, so this is its independent
+  check.
 * ``solve_in_invariant_subring``: membership in Q(i)[T, W, U, V] by an exact
   linear solve against every generator product of a matching degree.
 * ``substitute_power`` and ``base_rescale``: the substitutions T -> s*T and
@@ -41,22 +47,50 @@ Helpers that only the tests need:
 """
 
 from fractions import Fraction
+from operator import index
 
 from circleforms import (
+    DecisionResult,
     FormSpec,
     GaussianRational,
     LaurentPoly,
     MultiPoly,
     PolyMap,
     StructuredMatrix,
-    decide_equiv,
     make_invariants,
 )
 from circleforms.equivalence import InternalConsistencyError
-from circleforms.forms import splitting_entries
+from circleforms.forms import _require_real_poly, splitting_entries
+from circleforms.gaussian import rational_odd_root
 from circleforms.polymaps import _check_weights
 
 from reference_oracle import fraction_solve_linear
+
+
+def decide_equiv_by_ratios(h, h2, m):
+    """``decide_equiv`` from the cross conditions on rho_j = c_j / c2_j at
+    the pivot p = min support, without the key of either form."""
+    if index(m) < 1:
+        raise ValueError("m must be a positive integer")
+    _require_real_poly(h, "h")
+    _require_real_poly(h2, "h2")
+
+    # h and h2 are real, so each is its real numerators over its denominator
+    c = h.truncate_mod(m)
+    c2 = h2.truncate_mod(m)
+    if c._re.keys() != c2._re.keys():
+        return DecisionResult(False, None)
+
+    witness = Fraction(1)  # an empty support admits every r
+    if c._re:
+        pivot = min(c._re)
+        rho = {j: Fraction(n * c2._den, c2._re[j] * c._den) for j, n in c._re.items()}
+        rho_p = rho[pivot]
+        for j in rho:
+            if rho_p ** (2 * j + 1) != rho[j] ** (2 * pivot + 1):
+                return DecisionResult(False, None)
+        witness = rational_odd_root(rho_p, 2 * pivot + 1)
+    return DecisionResult(True, witness)
 
 
 def pairwise_classify(forms, m):
@@ -74,7 +108,7 @@ def pairwise_classify(forms, m):
     verdict = {}
     for i in range(count):
         for j in range(i + 1, count):
-            same = decide_equiv(forms[i], forms[j], m).equivalent
+            same = decide_equiv_by_ratios(forms[i], forms[j], m).equivalent
             verdict[(i, j)] = same
             if same:
                 ri, rj = find(i), find(j)

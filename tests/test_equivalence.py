@@ -21,9 +21,9 @@ from circleforms import (
 )
 from circleforms import equivalence
 from circleforms.acceptance import case_m2_conditions
-from circleforms.equivalence import InternalConsistencyError, equivalence_key
+from circleforms.equivalence import equivalence_key
 
-from reference_paths import conjugates_by_inverse, pairwise_classify
+from reference_paths import conjugates_by_inverse, decide_equiv_by_ratios, pairwise_classify
 from strategies import nonzero_rationals, real_polys
 
 T = LaurentPoly.variable()
@@ -290,6 +290,45 @@ def zero_support_forms(draw):
 arbitrary_forms = st.tuples(st.lists(real_polys, max_size=6), st.integers(1, 3))
 
 
+@st.composite
+def decision_pairs(draw):
+    """([h, h2], m) for m in 1..8 and forms up to degree 7: arbitrary pairs,
+    and scaled pairs r*h(r^2 T) + T^m*tail."""
+    m = draw(st.integers(1, 8))
+    long_polys = st.builds(lambda a, b: a + LaurentPoly.monomial(4) * b, real_polys, real_polys)
+    h = draw(long_polys)
+    if draw(st.booleans()):
+        h2 = draw(long_polys)
+    else:
+        h2 = h.apply_scaling(draw(nonzero_rationals)) + _tail(m, draw(real_polys))
+    return [h, h2], m
+
+
+class TestDecideAgainstRatios:
+    """decide_equiv compares equivalence_key; the ratio loop of
+    ``reference_paths`` is the reference."""
+
+    @pytest.mark.parametrize("strategy", [decision_pairs(), scaling_orbits(), real_only_forms(),
+                                          zero_support_forms()],
+                             ids=["real-polys", "scaling-orbits", "real-only", "zero-support"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_same_verdict_and_witness(self, strategy, data):
+        forms, m = data.draw(strategy)
+        for h, h2 in itertools.product(forms, repeat=2):
+            assert decide_equiv(h, h2, m) == decide_equiv_by_ratios(h, h2, m)
+
+    def test_decision_errors_match(self):
+        for args in [(one, one, 0), (one, one, 1.5), ([1], one, 1), (one, LaurentPoly.monomial(-1), 1),
+                     (LaurentPoly.constant(GaussianRational(0, 1)), one, 1)]:
+            with pytest.raises(Exception) as ours:
+                decide_equiv(*args)
+            with pytest.raises(Exception) as reference:
+                decide_equiv_by_ratios(*args)
+            assert type(ours.value) is type(reference.value)
+            assert str(ours.value) == str(reference.value)
+
+
 class TestClassifyAgainstPairwise:
     """classify groups by equivalence_key; the pairwise union-find of
     ``reference_paths`` is the reference."""
@@ -311,7 +350,20 @@ class TestClassifyAgainstPairwise:
     def test_key_equality_is_the_verdict(self, pair, m):
         h, h2 = pair
         same_key = equivalence_key(h, m) == equivalence_key(h2, m)
-        assert same_key == decide_equiv(h, h2, m).equivalent
+        assert same_key == decide_equiv_by_ratios(h, h2, m).equivalent
+
+    def test_key_is_the_support_and_the_ratios_at_the_least_exponent(self):
+        # S = (0, 2), p = 0: c_0^1 / c_0^1 and c_2^1 / c_0^5
+        assert equivalence_key(poly(2, 0, 3, 9), 3) == ((0, 2), (1, Fraction(3, 32)))
+        assert equivalence_key(poly(0, 2, 0, 5), 4) == ((1, 3), (1, Fraction(5 ** 3, 2 ** 7)))
+        assert equivalence_key(poly(0, 0, 4), 2) == ((), ())
+
+    def test_classify_decides_no_pair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classify called decide_equiv")
+
+        monkeypatch.setattr(equivalence, "decide_equiv", refuse)
+        assert classify([poly(1, 1), poly(2, 8), poly(1, 2)], 2) == [[0, 1], [2]]
 
     def test_real_only_pair_shares_a_key(self):
         assert equivalence_key(poly(0, 1), 2) == equivalence_key(poly(0, 3), 2)
@@ -324,12 +376,15 @@ class TestClassifyAgainstPairwise:
 
 
 class TestClassifyGuard:
+    """A key that merges or splits a class makes classify disagree with the
+    pairwise reference, so the differential test above would catch it."""
+
     def test_key_that_merges_classes_is_caught(self, monkeypatch):
+        forms = [zero, one]
         monkeypatch.setattr(equivalence, "equivalence_key", lambda h, m: ())
-        with pytest.raises(InternalConsistencyError):
-            classify([zero, one], 1)
+        assert classify(forms, 1) == [[0, 1]] != pairwise_classify(forms, 1)
 
     def test_key_that_splits_a_class_is_caught(self, monkeypatch):
+        forms = [poly(1, 1), poly(2, 8)]
         monkeypatch.setattr(equivalence, "equivalence_key", lambda h, m: id(h))
-        with pytest.raises(InternalConsistencyError):
-            classify([poly(1, 1), poly(2, 8)], 2)
+        assert classify(forms, 2) == [[0], [1]] != pairwise_classify(forms, 2)
