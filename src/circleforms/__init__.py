@@ -35,6 +35,7 @@ from .forms import (
     verify_cocycle,
     verify_conjugation,
     verify_splitting,
+    verify_weight_grading,
 )
 from .equivalence import (
     DecisionResult,

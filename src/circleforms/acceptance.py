@@ -15,12 +15,21 @@ from fractions import Fraction
 from typing import Callable
 
 from .equivalence import build_certificate, classify, decide_equiv, verify_certificate
-from .forms import FormSpec, case12_checks, family_checks, linear_circle_form
+from .forms import (
+    CASE12_WEIGHTS,
+    FormSpec,
+    case12_checks,
+    case12_twist,
+    family_checks,
+    linear_circle_form,
+    make_circle_form,
+    make_twist,
+)
 from .gaussian import GaussianRational, RationalLike
 from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .oracle import search_conjugator
-from .polymaps import compose, expand
+from .polymaps import compose, expand, is_involution, weight_check
 from .quotient import verify_relation
 
 GRID_VALUES = (-2, -1, 0, 1, 2)
@@ -30,14 +39,24 @@ GRID_MS = (1, 2, 3)
 def twist_family_suite() -> tuple[bool, str]:
     """Every (m, h) in the coefficient grid passes family_checks: M_h is a
     unit-determinant cocycle split by K_h, and mu_h is a weight-graded
-    involution."""
+    involution.  family_checks derives the last two from M_h; here mu_h is
+    built on every case, and is_involution and weight_check computed on it
+    must give the same values."""
     cases = 0
     for m in GRID_MS:
         for coeffs in itertools.product(GRID_VALUES, repeat=4):
-            h = LaurentPoly.from_coeffs(coeffs)
-            failed = [name for name, ok in family_checks(FormSpec(m, h)).items() if not ok]
+            spec = FormSpec(m, LaurentPoly.from_coeffs(coeffs))
+            checks = family_checks(spec)
+            mu = make_circle_form(make_twist(spec))
+            computed = {"involution": is_involution(mu),
+                        "weight_grading": weight_check(mu, spec.weights())}
+            differ = [name for name, ok in computed.items() if ok != checks[name]]
+            if differ:
+                return False, (f"derived and computed differ at m={m}, h={spec.h}: "
+                               + ", ".join(differ))
+            failed = [name for name, ok in checks.items() if not ok]
             if failed:
-                return False, f"failed at m={m}, h={h}: " + ", ".join(failed)
+                return False, f"failed at m={m}, h={spec.h}: " + ", ".join(failed)
             cases += 1
     return True, f"{cases} (m, h) cases exact"
 
@@ -108,8 +127,14 @@ def ten_singletons() -> tuple[bool, str]:
 def case12_suite() -> tuple[bool, str]:
     """The weight-(1,2) twist defines an orthogonal-bundle involution and its
     circle form linearizes through the stored non-real conjugator: every
-    check of case12_checks, the list the case12 subcommand shows."""
-    failed = [name for name, ok in case12_checks().items() if not ok]
+    check of case12_checks, the list the case12 subcommand shows.  Its
+    involution_relations is derived from the twist; here the circle form is
+    built, and is_involution and weight_check computed on it must agree."""
+    checks = case12_checks()
+    mu = make_circle_form(case12_twist())
+    if checks["involution_relations"] != (is_involution(mu) and weight_check(mu, CASE12_WEIGHTS)):
+        return False, "derived and computed differ: involution_relations"
+    failed = [name for name, ok in checks.items() if not ok]
     if failed:
         return False, "failed: " + ", ".join(failed)
     return True, "linearization, bundle conditions and twist relations exact"

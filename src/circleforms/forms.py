@@ -19,7 +19,16 @@ tests over a grid of (m, h).
 
 family_checks is the one list of the checks that make mu_h a real circle
 form: det M_h = 1, M_h * gamma(M_h) = I, K_h = M_h * gamma(K_h), mu_h^2 = id
-and the weight grading.
+and the weight grading.  The last two are derived, with the representation
+lemma, from the matrix M_h; mu_h itself is not built.  The lemma is the pair
+of identities phi_A o phi_B = phi_{A*B} and mu_0 o phi_M o mu_0 =
+phi_{gamma(M)} for structured A, B, M with polynomial entries, where
+phi_M = expand(M).  Together they give mu_M^2 = phi_M o phi_{gamma(M)} =
+phi_{M * gamma(M)}, and expand is injective, so mu_M^2 = id exactly when
+verify_cocycle(M) holds.  tests/test_representation_lemma.py proves both
+identities as polynomial identities in the entries; the twist-family and
+case12 release criteria still build mu_h and compare the computed checks
+with the derived ones.
 
 Two real forms are compared through one relation: a conjugator N in the
 polynomial group Lambda with N * M = M' * gamma(N) (verify_conjugation).
@@ -28,8 +37,8 @@ The weight-(1,2) case uses cross-exponent 4.  Its twist is the family twist
 formula at n = 4 and h = 1, which defines a nontrivial orthogonal bundle
 involution; its exact conjugator with non-real coefficients linearizes the
 associated circle form, which is the relation above with M = I.
-case12_checks is the one list of its checks, and it reuses the family's
-involution and weight-grading checks for the circle form.
+case12_checks is the one list of its checks, and it derives the involution
+and weight-grading checks of its circle form as family_checks does.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from operator import index
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, geometric_sum
 from .matrices import StructuredMatrix
-from .polymaps import MultiPoly, PolyMap, compose, expand, is_involution, weight_check
+from .polymaps import MultiPoly, PolyMap, compose, expand
 
 
 def _require_real_poly(p: LaurentPoly, name: str) -> None:
@@ -123,6 +132,19 @@ def verify_splitting(twist: StructuredMatrix, splitting: StructuredMatrix) -> bo
     return splitting.det() == LaurentPoly.one() and splitting == twist * splitting.galois()
 
 
+def verify_weight_grading(twist: StructuredMatrix, weights) -> bool:
+    """weight_check(make_circle_form(twist), weights), read off the matrix.
+
+    For weights (k, -k, n, -n), T = ab has weight 0, so every T-polynomial
+    entry does too.  mu_M sends (a, b, x, y) to the conjugate of (b, a,
+    P*y + b^e*Q*x, R*x + a^e*S*y), and component i must have weighted degree
+    -w_i: b, a, P*y and R*x always do, b^e*Q*x (weight n - e*k) does when
+    Q = 0 or e*k = 2n, and a^e*S*y (weight e*k - n) when S = 0 or
+    e*k = 2n.  A zero component is skipped, as weight_check skips it."""
+    k, _, n, _ = weights
+    return twist.e * k == 2 * n or (twist.Q.is_zero and twist.S.is_zero)
+
+
 def verify_conjugation(candidate: StructuredMatrix, m_src: StructuredMatrix,
                        m_dst: StructuredMatrix) -> bool:
     """Exact check that candidate N lies in the polynomial group and
@@ -148,16 +170,17 @@ def make_circle_form(twist: StructuredMatrix) -> PolyMap:
 def family_checks(spec: FormSpec) -> dict[str, bool]:
     """Every check that mu_h is a real circle form, in display order: det M_h
     = 1, the cocycle M_h * gamma(M_h) = I, the splitting K_h = M_h *
-    gamma(K_h), mu_h^2 = id and the weight grading.  M_h, K_h and mu_h are
-    each built once."""
+    gamma(K_h), mu_h^2 = id and the weight grading.  M_h and K_h are each
+    built once; mu_h^2 = id and the weight grading are derived, with the
+    lemma, from the cocycle and verify_weight_grading (which reads e = n)."""
     twist = make_twist(spec)
-    mu = make_circle_form(twist)
+    cocycle = verify_cocycle(twist)
     return {
         "det_is_one": twist.det() == LaurentPoly.one(),
-        "cocycle": verify_cocycle(twist),
+        "cocycle": cocycle,
         "splitting": verify_splitting(twist, make_splitting(spec)),
-        "involution": is_involution(mu),
-        "weight_grading": weight_check(mu, spec.weights()),
+        "involution": cocycle,
+        "weight_grading": verify_weight_grading(twist, spec.weights()),
     }
 
 
@@ -197,14 +220,16 @@ def case12_checks() -> dict[str, bool]:
     """Every weight-(1,2) check, in display order.  The stored conjugator N
     linearizes the form (N * I = Phi * gamma(N) with N in Lambda) and is not
     real; the twist Phi satisfies the bundle conditions; and its circle form
-    mu = make_circle_form(Phi) passes the two checks family_checks applies to
-    mu_h, is_involution and weight_check.  Each matrix is built once."""
+    mu = phi_Phi o mu_0 is a weight-graded involution, derived, with the
+    lemma, as family_checks derives it for mu_h: the cocycle (Phi is real,
+    so gamma(Phi) is its swap-twin) and e*1 = 4 = 2*2.  Each matrix is built
+    once."""
     twist = case12_twist()
     conj = case12_conjugator()
-    mu = make_circle_form(twist)
     return {
         "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
         "bundle_conditions": verify_case12_bundle(twist),
-        "involution_relations": is_involution(mu) and weight_check(mu, CASE12_WEIGHTS),
+        "involution_relations": (verify_cocycle(twist)
+                                 and verify_weight_grading(twist, CASE12_WEIGHTS)),
         "conjugator_not_real": conj.galois() != conj,
     }

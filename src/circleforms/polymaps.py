@@ -11,7 +11,17 @@ sparse kernel ``laurent.SparsePoly`` that ``LaurentPoly`` also builds on.
 ``conjugates_input`` flag, set for circle forms such as mu_0 and unset for
 twists phi_M = ``expand(M)``.  ``compose`` is the one way to compose two
 maps, and ``is_involution`` and ``weight_check`` are the two circle-form
-checks.
+checks, computed on a built map.
+
+The family and case12 verdicts build no map: ``forms.family_checks`` and
+``forms.case12_checks`` derive both circle-form checks from the matrix with
+the representation lemma (expand(A) o expand(B) = expand(A*B) and
+mu_0 o expand(M) o mu_0 = expand(gamma(M))), which the tests prove with
+``compose`` and ``expand``.  The computed checks still run in the
+twist-family and case12 release criteria, which compare them with the
+derived ones, and the representation-coherence criterion checks the lemma
+on random matrices.  Outside those criteria, ``quotient.induced_images``
+is the one caller of ``MultiPoly.substitute``.
 """
 
 from __future__ import annotations
