@@ -5,11 +5,12 @@ case12, quotient, selftest.  Exit codes are a stable contract: 0 for
 success or a positive verdict, 1 for a verified negative (inequivalent,
 check failed, certificate invalid), 2 for usage errors, 3 for internal
 errors.  Usage errors are caught before any kernel computation runs, with
-two found afterwards: an unwritable --out path, and a result holding a
-rational longer than sys.get_int_max_str_digits() digits, which is refused
-before anything is printed or written.  Any other exception is a bug: it is
-reported as "internal error:" with its traceback on stderr, so it can never
-be mistaken for a verdict or for bad input.
+three found afterwards: an unwritable --out path, a closed stdout ("error:
+cannot write to stdout"), and a result holding a rational longer than
+sys.get_int_max_str_digits() digits, which is refused before anything is
+printed or written.  Any other exception is a bug: it is reported as
+"internal error:" with its traceback on stderr, so it can never be
+mistaken for a verdict or for bad input.
 
 Polynomials are entered as ascending comma-separated rational coefficient
 lists ("2,8" is 2 + 8T); a numerator or denominator longer than
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -208,9 +210,10 @@ def cmd_classify(args) -> int:
     forms = _load_file(args.file, "forms", _read_forms)
     classes = classify(forms, m)
     lines = [f"{len(forms)} forms fall into {len(classes)} classes"]
-    for idx, members in enumerate(classes):
-        shown = ", ".join(str(forms[i]) for i in members)
-        lines.append(f"  class {idx}: indices {members}  ({shown})")
+    if not args.json:
+        for idx, members in enumerate(classes):
+            shown = ", ".join(str(forms[i]) for i in members)
+            lines.append(f"  class {idx}: indices {members}  ({shown})")
     _emit(args, lines, {"m": m, "classes": classes, "count": len(classes)})
     return 0
 
@@ -226,8 +229,9 @@ def cmd_oracle(args) -> int:
     payload = [_certificate(r, conj) for r, conj in found]
     lines = [f"{len(found)} verified conjugator(s) at degree <= {args.deg} "
              f"over {len(grid)} rescaling(s)"]
-    for r, conj in found:
-        lines.append(f"  r = {format_rational(r)}: N = {conj}")
+    if not args.json:
+        for r, conj in found:
+            lines.append(f"  r = {format_rational(r)}: N = {conj}")
     if not found:
         lines.append("  none found at this bound (not a proof of inequivalence)")
     if args.out:
@@ -249,16 +253,16 @@ def cmd_case12(args) -> int:
 def cmd_quotient(args) -> int:
     m = _require_m(args.m)
     relation = verify_relation(m)
-    gens = make_invariants(m)
     images, expressible = induced_images(linear_circle_form(), m)
     names = ("T", "W", "U", "V")
     lines = [f"relation U*V - T^n*W^2 = 0: {'ok' if relation else 'FAIL'}"]
-    for name, gen in zip(names, gens):
-        lines.append(f"  {name} = {gen}")
-    lines.append("images under the linear circle form (polynomial part):")
-    for name, img, expr in zip(names, images, expressible):
-        status = "invariant subring" if expr else "NOT expressible"
-        lines.append(f"  {name} -> {img}   [{status}]")
+    if not args.json:
+        for name, gen in zip(names, make_invariants(m)):
+            lines.append(f"  {name} = {gen}")
+        lines.append("images under the linear circle form (polynomial part):")
+        for name, img, expr in zip(names, images, expressible):
+            status = "invariant subring" if expr else "NOT expressible"
+            lines.append(f"  {name} -> {img}   [{status}]")
     payload = {
         "m": m,
         "relation_holds": relation,
@@ -326,13 +330,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the process's stdout at the null device, so the flush at
+    interpreter exit cannot fail on a closed pipe again."""
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):  # no file descriptor behind sys.stdout
+        pass
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except (UsageError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: cannot write to stdout", file=sys.stderr)
         return 2
     except Exception as exc:
         import traceback

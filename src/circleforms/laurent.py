@@ -14,11 +14,25 @@ the boundary: the constructors take it (or an int or Fraction), and
 ``coeff`` and ``items`` return it.
 
 Laurent products use Kronecker substitution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 2009): each
-operand is evaluated at 2^B, with B wide enough for every coefficient of the
-product, the two ints are multiplied once, and the signed base-2^B digits of
-the result are the product's numerators.  With imaginary parts,
-(a + bi)(c + di) takes the three products ac, bd and (a + b)(c + d).
+multiplication via multipoint Kronecker substitution", JSC 2009), through
+one kernel, ``_product_sum``, for any sum of products sign_k * T^t_k * x_k * y_k:
+``p * q`` is its one-pair case, and a 2x2 matrix entry or determinant
+a*b + s*T^t*c*d its two-pair case.  Each operand is evaluated once at
+2^bits, with bits wide enough for every coefficient of the sum; the
+products, the shifts T^t_k, the signs and the sum are integer operations;
+and the signed base-2^bits digits of the total are the numerators, read
+and brought to lowest terms once.  With imaginary parts, (a + bi)(c + di)
+takes the three products ac, bd and (a + b)(c + d).
+
+The width: pair k is put over the common denominator D = lcm_k(den x_k *
+den y_k) by the factor f_k = D / (den x_k * den y_k).  With ||p||_1 the sum
+and ||p||_inf the largest of the |re| and |im| over p's numerators, each
+real or imaginary numerator of x*y sums products of one numerator of x
+and one of y, each numerator of x at most once, so it is at most
+||x||_1 * ||y||_inf, and likewise at most ||x||_inf * ||y||_1.  Every
+numerator of the sum is therefore at most
+B = sum_k f_k * min(||x_k||_1 * ||y_k||_inf, ||x_k||_inf * ||y_k||_1), and
+bits = B.bit_length() + 1 keeps it a signed digit below 2^(bits-1).
 
 Arithmetic takes operands of one type: ``+ - * ==`` pair two polynomials of
 the same class, and a scalar c enters through a constructor, as in
@@ -218,6 +232,49 @@ def _unpack(value: int, low: int, bits: int) -> dict:
     return out
 
 
+def _operand(p) -> tuple[int, int, int]:
+    """(valuation, ||p||_1, ||p||_inf) of a nonzero p, over its numerators."""
+    re, im = p._re, p._im
+    if im:
+        magnitudes = [*map(abs, re.values()), *map(abs, im.values())]
+        return min(re.keys() | im.keys()), sum(magnitudes), max(magnitudes)
+    magnitudes = [*map(abs, re.values())]
+    return min(re), sum(magnitudes), max(magnitudes)
+
+
+def _product_sum(pairs) -> "LaurentPoly":
+    """sum sign * T^shift * x * y over the (x, y, shift, sign) in pairs, sign
+    = +-1, by one Kronecker evaluation at the width of the module docstring."""
+    live, low = [], None
+    for x, y, shift, sign in pairs:
+        if (x._re or x._im) and (y._re or y._im):
+            vx, x1, xmax = _operand(x)
+            vy, y1, ymax = _operand(y)
+            v = vx + vy + shift
+            if low is None or v < low:
+                low = v
+            live.append((x, y, vx, vy, v, sign, x._den * y._den, min(x1 * ymax, xmax * y1)))
+    if not live:
+        return LaurentPoly.zero()
+    den = live[0][6] if len(live) == 1 else lcm(*[pair[6] for pair in live])
+    bound = 0
+    for *_, d, size in live:
+        bound += den // d * size
+    bits = bound.bit_length() + 1
+    re = im = 0
+    for x, y, vx, vy, v, sign, d, _ in live:
+        a = _evaluate(x._re.items(), vx, bits) if x._re else 0
+        b = _evaluate(x._im.items(), vx, bits) if x._im else 0
+        c = _evaluate(y._re.items(), vy, bits) if y._re else 0
+        e = _evaluate(y._im.items(), vy, bits) if y._im else 0
+        scale, offset = sign * (den // d), bits * (v - low)
+        ac, be = a * c, b * e
+        re += scale * (ac - be) << offset
+        if b or e:
+            im += scale * ((a + b) * (c + e) - ac - be) << offset
+    return LaurentPoly._make(_unpack(re, low, bits), _unpack(im, low, bits), den)
+
+
 class LaurentPoly(SparsePoly):
     """Element of Q(i)[T, T^-1], held sparse and canonical; keys are the
     exponents of T."""
@@ -288,25 +345,7 @@ class LaurentPoly(SparsePoly):
     def __mul__(self, other):
         if type(other) is not LaurentPoly:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        # a product coefficient sums at most min(terms) products of real or
-        # imaginary parts, so its real and imaginary |numerator| < 2^(bits-1)
-        bound = 2 * min(len(self._re) + len(self._im), len(other._re) + len(other._im))
-        for p in (self, other):
-            bound *= max(map(abs, (*p._re.values(), *p._im.values())))
-        bits = bound.bit_length() + 1
-        # each factor is T^low * (re + i*im)(T), re and im evaluated at 2^bits
-        packed, low = [], 0
-        for p in (self, other):
-            valuation = min(p._keys())
-            for part in (p._re, p._im):
-                packed.append(_evaluate(part.items(), valuation, bits) if part else 0)
-            low += valuation
-        x, y, z, w = packed
-        xz, yw = x * z, y * w
-        im = _unpack((x + y) * (z + w) - xz - yw, low, bits) if y or w else {}
-        return LaurentPoly._make(_unpack(xz - yw, low, bits), im, self._den * other._den)
+        return _product_sum(((self, other, 0, 1),))
 
     def to_json(self):
         """Ascending coefficient array for polynomials; otherwise

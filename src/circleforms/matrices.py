@@ -2,7 +2,10 @@
 
 Only the four T-polynomials and the cross-exponent e are stored; products
 contract the off-diagonal variable factors through a^e * b^e = T^e, which is
-the whole point of the representation.  One cross-exponent parameter covers
+the whole point of the representation.  Each entry of a product, and the
+det, is one sum of two Laurent products a*b + s*T^t*c*d, computed by the
+``laurent`` kernel in one Kronecker evaluation: every operand is packed
+once, at the width that entry needs.  One cross-exponent parameter covers
 both the weight-(2, 2m+1) family (e = 2m+1) and the weight-(1, 2) case
 (e = 4); the algebra is identical.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _product_sum
 
 
 class StructuredMatrix:
@@ -48,17 +51,17 @@ class StructuredMatrix:
             return NotImplemented
         if self.e != other.e:
             raise ValueError(f"cross-exponent mismatch: {self.e} != {other.e}")
-        Te = LaurentPoly.monomial(self.e)
+        e, (P, Q, S, R), (P2, Q2, S2, R2) = self.e, self.entries(), other.entries()
         return StructuredMatrix(
-            self.e,
-            self.P * other.P + Te * (self.Q * other.S),
-            self.P * other.Q + self.Q * other.R,
-            self.S * other.P + self.R * other.S,
-            Te * (self.S * other.Q) + self.R * other.R,
+            e,
+            _product_sum(((P, P2, 0, 1), (Q, S2, e, 1))),
+            _product_sum(((P, Q2, 0, 1), (Q, R2, 0, 1))),
+            _product_sum(((S, P2, 0, 1), (R, S2, 0, 1))),
+            _product_sum(((R, R2, 0, 1), (S, Q2, e, 1))),
         )
 
     def det(self) -> LaurentPoly:
-        return self.P * self.R - LaurentPoly.monomial(self.e) * (self.Q * self.S)
+        return _product_sum(((self.P, self.R, 0, 1), (self.Q, self.S, self.e, -1)))
 
     def galois(self) -> "StructuredMatrix":
         return StructuredMatrix(self.e, self.R.bar(), self.S.bar(), self.Q.bar(), self.P.bar())

@@ -23,6 +23,12 @@ by the package.
   det is any Laurent unit c*T^k, against which the package's det-1 adjugate
   ``StructuredMatrix.inverse`` is cross-checked, and which the Lambda and
   Lambda' closure tests use.
+* ``entrywise_product``, ``entrywise_det`` and ``kronecker_product``: a
+  matrix product as ten Laurent products and four sums, the det as three
+  products and a difference, and each Laurent product packed, read and
+  reduced on its own, against which the one-evaluation kernel behind
+  ``StructuredMatrix.__mul__``, ``det`` and ``LaurentPoly.__mul__`` is
+  cross-checked.
 * ``substitute_by_products``: ``MultiPoly.substitute`` as one polynomial
   product per variable of every term, summed term by term, against which
   the package's monomial path for single-term images is cross-checked.
@@ -62,6 +68,7 @@ from circleforms import (
 from circleforms.equivalence import InternalConsistencyError
 from circleforms.forms import _require_real_poly, splitting_entries
 from circleforms.gaussian import rational_odd_root
+from circleforms.laurent import _evaluate, _unpack
 from circleforms.polymaps import _check_weights
 
 from reference_oracle import fraction_solve_linear
@@ -207,6 +214,54 @@ def unit_inverse(matrix):
     scale = LaurentPoly.monomial(-k, c.inverse())
     return StructuredMatrix(matrix.e, scale * matrix.R, scale * (-matrix.Q),
                             scale * (-matrix.S), scale * matrix.P)
+
+
+def entrywise_product(self, other):
+    """``StructuredMatrix.__mul__`` as ten Laurent products, two of them by
+    the monomial T^e, and four sums."""
+    if not isinstance(other, StructuredMatrix):
+        return NotImplemented
+    if self.e != other.e:
+        raise ValueError(f"cross-exponent mismatch: {self.e} != {other.e}")
+    Te = LaurentPoly.monomial(self.e)
+    return StructuredMatrix(
+        self.e,
+        self.P * other.P + Te * (self.Q * other.S),
+        self.P * other.Q + self.Q * other.R,
+        self.S * other.P + self.R * other.S,
+        Te * (self.S * other.Q) + self.R * other.R,
+    )
+
+
+def entrywise_det(self):
+    """``StructuredMatrix.det`` as three Laurent products and a difference."""
+    return self.P * self.R - LaurentPoly.monomial(self.e) * (self.Q * self.S)
+
+
+def kronecker_product(self, other):
+    """``LaurentPoly.__mul__`` as one Kronecker product at the width
+    2 * min(terms) * max|x| * max|y|, read and reduced on its own."""
+    if type(other) is not LaurentPoly:
+        return NotImplemented
+    if self.is_zero or other.is_zero:
+        return LaurentPoly.zero()
+    # a product coefficient sums at most min(terms) products of real or
+    # imaginary parts, so its real and imaginary |numerator| < 2^(bits-1)
+    bound = 2 * min(len(self._re) + len(self._im), len(other._re) + len(other._im))
+    for p in (self, other):
+        bound *= max(map(abs, (*p._re.values(), *p._im.values())))
+    bits = bound.bit_length() + 1
+    # each factor is T^low * (re + i*im)(T), re and im evaluated at 2^bits
+    packed, low = [], 0
+    for p in (self, other):
+        valuation = min(p._keys())
+        for part in (p._re, p._im):
+            packed.append(_evaluate(part.items(), valuation, bits) if part else 0)
+        low += valuation
+    x, y, z, w = packed
+    xz, yw = x * z, y * w
+    im = _unpack((x + y) * (z + w) - xz - yw, low, bits) if y or w else {}
+    return LaurentPoly._make(_unpack(xz - yw, low, bits), im, self._den * other._den)
 
 
 def substitute_by_products(poly, images):

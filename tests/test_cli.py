@@ -1,14 +1,19 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import circleforms
 from circleforms import cli, forms
 from circleforms.cli import canonical_json, main, parse_poly, parse_r_grid
 from circleforms import InternalConsistencyError, LaurentPoly, StructuredMatrix
+from circleforms.laurent import SparsePoly
 
 
 def run(capsys, *argv):
@@ -550,3 +555,49 @@ class TestCanonicalJson:
         text = canonical_json(m.to_json())
         reparsed = StructuredMatrix.from_json(json.loads(text))
         assert canonical_json(reparsed.to_json()) == text
+
+
+class TestJsonModeFormatsNoText:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--m", "2", "--file", "forms.json"],
+        ["oracle", "--m", "1", "--h", "1", "--hp", "1", "--deg", "2"],
+        ["quotient", "--m", "1"],
+    ], ids=["classify", "oracle", "quotient"])
+    def test_no_polynomial_or_matrix_is_formatted(self, capsys, monkeypatch, tmp_path, argv):
+        # the text lines are built only in text mode; --json bytes are unchanged
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "forms.json").write_text('{"forms": [["1", "2"], ["1/2", 1], ["1", "2"]]}')
+        expected = run(capsys, *argv, "--json")
+
+        def refuse(self):
+            raise AssertionError("text formatted under --json")
+
+        monkeypatch.setattr(SparsePoly, "__str__", refuse)
+        monkeypatch.setattr(StructuredMatrix, "__repr__", refuse)
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out, err) == expected and code == 0 and json.loads(out)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["verify-form", "--m", "2", "--h", "1,1", "--json"],
+        ["verify-form", "--m", "2", "--h", "1,1"],
+        ["quotient", "--m", "1"],
+    ], ids=["json", "text", "quotient"])
+    def test_closed_stdout_is_a_usage_error(self, argv):
+        # a pipe whose reader is gone: exit 2 with one error line, and no
+        # second failure when the interpreter flushes stdout at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(circleforms.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "circleforms.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err == "error: cannot write to stdout\n"
+        assert "Traceback" not in err
