@@ -9,9 +9,10 @@ numerator is zero, so every value has one representation; the zero
 polynomial is ({}, {}, 1) and has no valuation or degree (callers branch on
 ``is_zero`` first).  ``LaurentPoly`` keys are exponents of T, which may
 be negative; the four-variable ``MultiPoly`` of ``polymaps`` packs its
-exponent quadruple into one int.  ``GaussianRational`` is the scalar type at
-the boundary: the constructors take it (or an int or Fraction), and
-``coeff`` and ``items`` return it.
+exponent quadruple into one int.  This store is the package's one
+representation of Q(i): the constructors read each coefficient, an int, a
+Fraction or a ``GaussianRational`` record, straight into it, and ``coeff``
+and ``items`` hand coefficients back as records.
 
 Laurent products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009), through
@@ -64,17 +65,20 @@ class SparsePoly:
     __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, terms: Optional[dict] = None):
-        coeffs = {}
+        parts = {}
         for k, c in (terms or {}).items():
-            coeffs[self._key(k)] = c if type(c) is GaussianRational else GaussianRational(c)
+            if type(c) is GaussianRational:
+                parts[self._key(k)] = c.re, c.im
+            else:
+                parts[self._key(k)] = c if type(c) is int else as_rational(c), 0
         # the numerators over the lcm of the denominators have no common factor with it
-        den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+        den = lcm(*(x.denominator for pair in parts.values() for x in pair))
         self._re, self._im, self._den = {}, {}, den
-        for k, c in coeffs.items():
-            if c.re:
-                self._re[k] = c.re.numerator * (den // c.re.denominator)
-            if c.im:
-                self._im[k] = c.im.numerator * (den // c.im.denominator)
+        for k, (re, im) in parts.items():
+            if re:
+                self._re[k] = re.numerator * (den // re.denominator)
+            if im:
+                self._im[k] = im.numerator * (den // im.denominator)
 
     @classmethod
     def _make(cls, re: dict, im: dict, den: int = 1):
@@ -358,12 +362,16 @@ class LaurentPoly(SparsePoly):
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
+        """The inverse of to_json.  A valuation must be <= 0, as to_json
+        writes it, so every exponent read is bounded by the document's length."""
         if isinstance(obj, list):
             obj = {"valuation": 0, "coeffs": obj}
         if not (isinstance(obj, dict) and "valuation" in obj and "coeffs" in obj):
             raise ValueError(f"not a Laurent polynomial object: {obj!r}")
         if type(obj["valuation"]) is not int:
             raise ValueError(f"valuation must be a JSON integer: {obj['valuation']!r}")
+        if obj["valuation"] > 0:
+            raise ValueError(f"valuation must not be positive: {obj['valuation']!r}")
         return cls.from_coeffs([GaussianRational.from_json(c) for c in obj["coeffs"]],
                                valuation=obj["valuation"])
 

@@ -230,7 +230,8 @@ def _det_is_unit(e: int, width: int, u: Sequence[int], v: Sequence[int]) -> bool
     real and imaginary parts of det is a signed digit below 2^(bits-1); a
     part is then constant exactly when its packed value is below that.  A
     common scale c of U and V multiplies det by c^2, which changes neither
-    property."""
+    property.  It stays beside ``laurent._product_sum`` because it never
+    decodes a determinant that is not constant, and almost none is."""
     height = max(map(abs, [*u, *v]))
     bits = (4 * width * height * height).bit_length() + 1
     pu, qu, su, ru, pv, qv, sv, rv = [

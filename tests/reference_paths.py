@@ -36,8 +36,14 @@ by the package.
   as it was before the integer store, a dict {monomial: GaussianRational}
   with schoolbook products and a termwise ``substitute``, against which
   ``LaurentPoly`` and ``MultiPoly`` are cross-checked operation by operation.
+* ``init_by_records``: ``SparsePoly.__init__`` as it was when every
+  coefficient became a ``GaussianRational`` before it entered the store,
+  against which the constructor that reads scalars directly is cross-checked.
 
 Helpers that only the tests need:
+
+* ``conj``, ``neg``, ``inverse`` and ``is_zero``: the Q(i) operations on a
+  ``GaussianRational`` record, which carries only ``+`` and ``*``.
 
 * ``scaling_map`` and ``base_scaling_map``: the circle point and the base
   rescaling as four-variable maps.
@@ -53,6 +59,7 @@ Helpers that only the tests need:
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import index
 
 from circleforms import (
@@ -67,11 +74,32 @@ from circleforms import (
 )
 from circleforms.equivalence import InternalConsistencyError
 from circleforms.forms import _require_real_poly, splitting_entries
-from circleforms.gaussian import rational_odd_root
+from circleforms.gaussian import power, rational_odd_root
 from circleforms.laurent import _evaluate, _unpack
 from circleforms.polymaps import _check_weights
 
 from reference_oracle import fraction_solve_linear
+
+
+def conj(z):
+    """The complex conjugate of a Gaussian rational."""
+    return GaussianRational(z.re, -z.im)
+
+
+def neg(z):
+    return GaussianRational(-z.re, -z.im)
+
+
+def inverse(z):
+    """1 / z for a nonzero Gaussian rational."""
+    norm = z.re * z.re + z.im * z.im
+    if not norm:
+        raise ZeroDivisionError("inverse of zero in Q(i)")
+    return GaussianRational(z.re / norm, -z.im / norm)
+
+
+def is_zero(z):
+    return z == GaussianRational(0)
 
 
 def decide_equiv_by_ratios(h, h2, m):
@@ -211,7 +239,7 @@ def unit_inverse(matrix):
     if parts is None:
         raise ValueError("matrix determinant is not a unit c*T^k; no inverse here")
     c, k = parts
-    scale = LaurentPoly.monomial(-k, c.inverse())
+    scale = LaurentPoly.monomial(-k, inverse(c))
     return StructuredMatrix(matrix.e, scale * matrix.R, scale * (-matrix.Q),
                             scale * (-matrix.S), scale * matrix.P)
 
@@ -317,15 +345,16 @@ def base_rescale(matrix, r):
 def scaling_map(omega, weights):
     """The linear action of a unit-circle point: v_i -> omega^(w_i) * v_i.
 
-    Restricted to exact circle points (norm_sq = 1, e.g. Pythagorean-triple
+    Restricted to exact circle points (|omega|^2 = 1, e.g. Pythagorean-triple
     points like (3+4i)/5) so that omega^(-w) = conj(omega)^w stays in Q(i).
     """
     weights = _check_weights(weights)
-    if omega.norm_sq() != 1:
-        raise ValueError("omega must lie on the unit circle (norm_sq == 1)")
+    one = GaussianRational(1)
+    if omega * conj(omega) != one:
+        raise ValueError("omega must lie on the unit circle (|omega|^2 == 1)")
     images = []
     for i, w in enumerate(weights):
-        factor = omega ** w if w >= 0 else omega.conjugate() ** (-w)
+        factor = power(omega, w, one) if w >= 0 else power(conj(omega), -w, one)
         images.append(MultiPoly.variable(i) * MultiPoly.constant(factor))
     return PolyMap(tuple(images))
 
@@ -375,7 +404,7 @@ def fixed_point_shape(matrix):
     if not matrix.P.is_constant or not matrix.R.is_constant:
         return None
     alpha = constant_value(matrix.P)
-    if alpha.is_zero or constant_value(matrix.R) != alpha.conjugate():
+    if is_zero(alpha) or constant_value(matrix.R) != conj(alpha):
         return None
     return alpha
 
@@ -388,11 +417,11 @@ def proof_conditions(h, h_target, m, alpha):
         alpha * q_{h''} - conj(alpha) * q_h       is a polynomial, and
         alpha * s_h * r_{h''} - conj(alpha) * r_h * s_{h''}  is a polynomial.
     """
-    if alpha.is_zero:
+    if is_zero(alpha):
         raise ValueError("alpha must be nonzero")
     q_h, s_h, r_h = splitting_entries(FormSpec(m, h))
     q_t, s_t, r_t = splitting_entries(FormSpec(m, h_target))
-    bar_alpha = LaurentPoly.constant(alpha.conjugate())
+    bar_alpha = LaurentPoly.constant(conj(alpha))
     alpha = LaurentPoly.constant(alpha)
     cond_q = q_t * alpha - q_h * bar_alpha
     cond_s = (s_h * r_t) * alpha - (r_h * s_t) * bar_alpha
@@ -409,13 +438,13 @@ class DictSparse:
         self._terms = {}
         for k, c in (terms or {}).items():
             c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            if not c.is_zero:
+            if not is_zero(c):
                 self._terms[self._key(k)] = c
 
     @classmethod
     def _wrap(cls, terms):
         out = cls.__new__(cls)
-        out._terms = {k: c for k, c in terms.items() if not c.is_zero}
+        out._terms = {k: c for k, c in terms.items() if not is_zero(c)}
         return out
 
     @classmethod
@@ -427,12 +456,12 @@ class DictSparse:
         return sorted(self._terms.items())
 
     def bar(self):
-        return self._wrap({k: c.conjugate() for k, c in self._terms.items()})
+        return self._wrap({k: conj(c) for k, c in self._terms.items()})
 
     def _binary(self, other, sign):
         acc = dict(self._terms)
         for k, c in other._terms.items():
-            c = c if sign > 0 else -c
+            c = c if sign > 0 else neg(c)
             acc[k] = acc[k] + c if k in acc else c
         return self._wrap(acc)
 
@@ -443,7 +472,7 @@ class DictSparse:
         return self._binary(other, -1)
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self._terms.items()})
+        return self._wrap({k: neg(c) for k, c in self._terms.items()})
 
     def __pow__(self, n):
         result = type(self)({self._ONE: 1})
@@ -502,8 +531,24 @@ class DictMulti(DictSparse):
                 if len(img._terms) == 1:
                     ((m, ic),) = img._terms.items()
                     shifted = tuple(exp * e for e in m)
-                    term = term * DictMulti({shifted: ic ** exp})
+                    term = term * DictMulti({shifted: power(ic, exp, GaussianRational(1))})
                 else:
                     term = term * img ** exp
             total = total + term
         return total
+
+
+def init_by_records(self, terms=None):
+    """``SparsePoly.__init__`` with each coefficient made a GaussianRational
+    first; call it on ``cls.__new__(cls)``."""
+    coeffs = {}
+    for k, c in (terms or {}).items():
+        coeffs[self._key(k)] = c if type(c) is GaussianRational else GaussianRational(c)
+    # the numerators over the lcm of the denominators have no common factor with it
+    den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+    self._re, self._im, self._den = {}, {}, den
+    for k, c in coeffs.items():
+        if c.re:
+            self._re[k] = c.re.numerator * (den // c.re.denominator)
+        if c.im:
+            self._im[k] = c.im.numerator * (den // c.im.denominator)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from circleforms import GaussianRational, LaurentPoly, MultiPoly, StructuredMatrix
 
-from reference_paths import diagonal
+from reference_paths import diagonal, is_zero
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 
 gaussians = st.builds(GaussianRational, rationals, rationals)
-nonzero_gaussians = gaussians.filter(bool)
+nonzero_gaussians = gaussians.filter(lambda z: not is_zero(z))
 real_gaussians = st.builds(GaussianRational, rationals)
 
 laurents = st.dictionaries(st.integers(-3, 4), gaussians, max_size=4).map(LaurentPoly)

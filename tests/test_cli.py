@@ -163,6 +163,20 @@ class TestVerifyCertificate:
         assert out == ""
         assert err.startswith("error: " if (field, value) == ("e", 3) else "error: cannot load certificate")
 
+    @pytest.mark.parametrize("valuation", [3, 10 ** 30], ids=["3", "10^30"])
+    def test_positive_valuation_is_usage_error(self, capsys, tmp_path, valuation):
+        # to_json never writes one, and it would let a short document carry
+        # exponents of any size
+        one = [{"re": "1"}]
+        entry = {"valuation": valuation, "coeffs": one}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"r": "1", "N": {"e": 3, "P": one, "Q": one, "S": one,
+                                                     "R": entry}}))
+        code, out, err = run(capsys, "verify-certificate", "--m", "1", "--h", "1",
+                             "--hp", "1", "--file", str(cert))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot load certificate") and "Traceback" not in err
+
     def test_integer_rationals_are_read_exactly(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         run(capsys, "equiv", "--m", "2", "--h", "0", "--hp", "0", "--out", str(cert))

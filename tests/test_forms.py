@@ -220,7 +220,7 @@ class TestIntegralCoefficients:
         for twist in twists:
             for entry in twist.entries():
                 for _, c in entry.items():
-                    assert type(c.re) is int and type(c.im) is int
+                    assert c.re.denominator == 1 and c.im.denominator == 1
 
     def test_verify_form_json_bytes_agree(self, capsys):
         outputs = []

@@ -26,10 +26,11 @@ from circleforms import (
     weight_check,
 )
 from circleforms.equivalence import equivalence_key
-from circleforms.gaussian import DigitLimitError, integer_kth_root
+from circleforms.gaussian import DigitLimitError, integer_kth_root, power
 from circleforms.quotient import in_invariant_subring
 
-from strategies import gaussians, nonzero_gaussians, rationals
+from reference_paths import neg
+from strategies import gaussians, rationals
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -40,41 +41,24 @@ class TestArithmetic:
     def test_norm_identity(self):
         assert GaussianRational(1, 1) * GaussianRational(1, -1) == GaussianRational(2)
 
-    def test_inverse_of_two(self):
-        assert GaussianRational(2).inverse() == GaussianRational(Fraction(1, 2))
-
     def test_product_of_conjugate_halves(self):
         # ((1-i)/2) * ((1+i)/4) = (1-i)(1+i)/8 = 2/8 = 1/4
         lhs = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
         rhs = GaussianRational(Fraction(1, 4), Fraction(1, 4))
         assert lhs * rhs == GaussianRational(Fraction(1, 4))
 
-    def test_division_by_zero_is_distinct_error(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(0).inverse()
-
     def test_pow_takes_nonnegative_exponents(self):
-        assert I ** 0 == ONE and I ** 2 == -ONE
+        assert power(I, 0, ONE) == ONE and power(I, 2, ONE) == neg(ONE)
         with pytest.raises(ValueError):
-            I ** -1
+            power(I, -1, ONE)
 
     @given(z1=gaussians, z2=gaussians, z3=gaussians)
-    def test_field_axioms(self, z1, z2, z3):
+    def test_ring_axioms(self, z1, z2, z3):
         assert (z1 + z2) + z3 == z1 + (z2 + z3)
         assert (z1 * z2) * z3 == z1 * (z2 * z3)
         assert z1 * (z2 + z3) == z1 * z2 + z1 * z3
-        assert z1 + (-z1) == ZERO
-        assert z1 - z1 == ZERO
+        assert z1 + neg(z1) == ZERO
         assert z1 * ONE == z1
-
-    @given(z=nonzero_gaussians)
-    def test_multiplicative_inverse(self, z):
-        assert z * z.inverse() == ONE
-        assert z.inverse().inverse() == z
-
-    @given(z1=gaussians, z2=nonzero_gaussians)
-    def test_division_roundtrip(self, z1, z2):
-        assert (z1 * z2.inverse()) * z2 == z1
 
 
 class TestExactInputsOnly:
@@ -169,51 +153,27 @@ class TestIntegerParametersOnly:
             rational_odd_root(8, -3)
 
 
-class TestIntegralStorage:
-    """A component whose value is an integer is held as an int, whether it
-    was given as Fraction(n, 1) or came out of Fraction arithmetic."""
+class TestRecord:
+    """A GaussianRational is the record (re, im) of two Fractions: equal
+    values are equal records with equal hashes, however they were given."""
 
-    def test_integral_fraction_is_held_as_int(self):
-        z = GaussianRational(Fraction(6, 3), Fraction(-4, 1))
-        assert type(z.re) is int and type(z.im) is int
-        assert (z.re, z.im) == (2, -4)
+    def test_parts_are_fractions(self):
+        z = GaussianRational(3, Fraction(-4, 2))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (3, -2)
 
-    def test_reduced_fraction_equals_and_hashes_as_int(self):
-        z = GaussianRational(Fraction(1, 2) * 2)
-        assert type(z.re) is int
-        assert z == GaussianRational(1)
-        assert hash(z) == hash(GaussianRational(1))
+    def test_equal_values_are_equal_records(self):
+        assert GaussianRational(3) == GaussianRational(Fraction(6, 2))
+        assert hash(GaussianRational(3)) == hash(GaussianRational(Fraction(6, 2)))
+        assert GaussianRational(Fraction(1, 2)) != GaussianRational(0, Fraction(1, 2))
 
-    def test_arithmetic_results_are_held_as_int(self):
-        half = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
-        two = GaussianRational(2)
-        for z in (half + half, half * two, two.inverse() * two):
-            assert type(z.re) is int and type(z.im) is int
+    def test_never_equal_to_a_plain_scalar(self):
+        assert (GaussianRational(3) == 3) is False
+        assert (GaussianRational(3) == Fraction(3)) is False
 
-    @given(z=gaussians)
-    def test_int_exactly_when_integral(self, z):
-        for part in (z.re, z.im):
-            assert (type(part) is int) == (Fraction(part).denominator == 1)
-
-
-class TestConjugation:
-    def test_basic(self):
-        assert GaussianRational(1, 1).conjugate() == GaussianRational(1, -1)
-        z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
-        assert z.conjugate() == GaussianRational(Fraction(3, 5), Fraction(-4, 5))
-
-    @given(z=gaussians)
-    def test_involution(self, z):
-        assert z.conjugate().conjugate() == z
-
-    @given(z1=gaussians, z2=gaussians)
-    def test_ring_automorphism(self, z1, z2):
-        assert (z1 * z2).conjugate() == z1.conjugate() * z2.conjugate()
-        assert (z1 + z2).conjugate() == z1.conjugate() + z2.conjugate()
-
-    @given(z=gaussians)
-    def test_is_real_iff_fixed(self, z):
-        assert z.is_real == (z.conjugate() == z)
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            GaussianRational(1).re = Fraction(2)
 
 
 class TestOddRoots:

@@ -9,8 +9,10 @@ from circleforms.acceptance import GRID_MS, GRID_VALUES
 
 from reference_paths import (
     base_rescale,
+    conj,
     diagonal,
     fixed_point_shape,
+    inverse,
     monomial_parts,
     substitute_power,
     unit_inverse,
@@ -75,9 +77,9 @@ class TestProductAndInverse:
 
     def test_inverse_of_diagonal(self):
         alpha = GaussianRational(2, 1)
-        m = diagonal(3, alpha, alpha.conjugate())
+        m = diagonal(3, alpha, conj(alpha))
         inv = unit_inverse(m)
-        assert inv == diagonal(3, alpha.inverse(), alpha.conjugate().inverse())
+        assert inv == diagonal(3, inverse(alpha), inverse(conj(alpha)))
 
     def test_non_unit_determinant_rejected(self):
         m = StructuredMatrix(3, one + T, zero, zero, one)
@@ -110,7 +112,7 @@ class TestProductAndInverse:
         prod = m1 * m2
         # scale the first column so the product has det 1
         c = monomial_parts(prod.det())[0]
-        prod = prod * diagonal(prod.e, c.inverse(), 1)
+        prod = prod * diagonal(prod.e, inverse(c), 1)
         assert prod.det() == one
         assert prod.inverse() == unit_inverse(prod)
         assert prod * prod.inverse() == StructuredMatrix.identity(prod.e)
@@ -236,7 +238,7 @@ class TestMembership:
 class TestFixedPointShape:
     def test_diagonal_pair(self):
         alpha = GaussianRational(2, 1)
-        m = diagonal(3, alpha, alpha.conjugate())
+        m = diagonal(3, alpha, conj(alpha))
         assert fixed_point_shape(m) == alpha
 
     def test_identity(self):
@@ -265,7 +267,7 @@ class TestFixedPointShape:
 
     @given(alpha=nonzero_gaussians)
     def test_diagonal_instances_always_pass(self, alpha):
-        psi = diagonal(5, alpha, alpha.conjugate())
+        psi = diagonal(5, alpha, conj(alpha))
         assert psi.galois() == psi
         assert psi.det().is_constant
         assert fixed_point_shape(psi) == alpha

@@ -20,7 +20,7 @@ from circleforms import (
 from circleforms.quotient import in_invariant_subring
 
 from reference_paths import solve_in_invariant_subring
-from strategies import gaussians
+from strategies import gaussians, nonzero_gaussians
 
 A, B, X, Y = (MultiPoly.variable(i) for i in range(4))
 
@@ -103,7 +103,7 @@ def generator_sums(draw):
     if perturbed:
         mono = draw(st.tuples(*[st.integers(0, n + 1)] * 4).filter(
             lambda e: 2 * (e[0] - e[1]) + n * (e[2] - e[3]) != 0))
-        poly = poly + MultiPoly.monomial(mono, draw(gaussians.filter(bool)))
+        poly = poly + MultiPoly.monomial(mono, draw(nonzero_gaussians))
     return poly, m, perturbed
 
 

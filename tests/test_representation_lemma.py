@@ -71,7 +71,7 @@ from circleforms import (
 from circleforms import acceptance, cli, forms
 from circleforms.forms import CASE12_WEIGHTS
 
-from reference_paths import diagonal
+from reference_paths import conj, diagonal, inverse
 from strategies import nonzero_gaussians, real_polys, structured_matrices
 
 CROSS_EXPONENTS = range(3, 2 * cli.MAX_M + 2)
@@ -145,7 +145,7 @@ matrices = st.one_of(
     structured_matrices.map(lambda m: StructuredMatrix(m.e, m.P, LaurentPoly.zero(),
                                                        LaurentPoly.zero(), m.R)),
     st.builds(lambda m, h: make_twist(FormSpec(m, h)), st.integers(1, 2), real_polys),
-    st.builds(lambda e, c: diagonal(e, c, c.conjugate().inverse()),
+    st.builds(lambda e, c: diagonal(e, c, inverse(conj(c))),
               st.sampled_from((3, 4, 5)), nonzero_gaussians),
 )
 

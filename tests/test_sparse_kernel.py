@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from circleforms import GaussianRational, LaurentPoly, MultiPoly
 from circleforms.laurent import SparsePoly
 
-from reference_paths import DictLaurent, DictMulti
-from strategies import gaussians, laurents, multis, poly_laurents, substitute_images
+from reference_paths import DictLaurent, DictMulti, init_by_records
+from strategies import gaussians, laurents, monomials, multis, poly_laurents, substitute_images
 
 # Rationals of up to about 80 bits over denominators of up to 40 bits, and
 # Laurent values with up to 12 terms spread over T^-30 .. T^30.
@@ -49,7 +49,7 @@ def check_ring_operations(p, q, n, ref):
     assert agree(rp ** n, p ** n)
     assert agree(rp.bar(), p.bar())
     assert (p == q) == (rp == rq)
-    assert p.is_zero == (not rp.items()) and p.is_real == all(c.is_real for _, c in rp.items())
+    assert p.is_zero == (not rp.items()) and p.is_real == all(not c.im for _, c in rp.items())
     assert p + q - q == p and hash(p + q - q) == hash(p)
 
 
@@ -94,6 +94,46 @@ def test_multipoly_agrees_with_dict_kernel(p, q, n, images):
     check_ring_operations(p, q, n, DictMulti)
     reference = DictMulti.of(p).substitute([DictMulti.of(img) for img in images])
     assert agree(reference, p.substitute(images))
+
+
+# Coefficients of every accepted kind: ints, Fractions (integral ones
+# included) and records, with zero real or imaginary parts.
+mixed_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6])),
+    wide_rationals,
+    st.builds(GaussianRational, st.one_of(st.just(0), wide_rationals),
+              st.one_of(st.just(0), st.integers(-3, 3), wide_rationals)),
+)
+
+
+def store(p):
+    return p._re, p._im, p._den
+
+
+@given(laurent_terms=st.dictionaries(st.integers(-6, 6), mixed_coeffs, max_size=6),
+       multi_terms=st.dictionaries(monomials, mixed_coeffs, max_size=6))
+def test_constructor_stores_as_the_record_path(laurent_terms, multi_terms):
+    for cls, terms in ((LaurentPoly, laurent_terms), (MultiPoly, multi_terms)):
+        reference = cls.__new__(cls)
+        init_by_records(reference, terms)
+        assert store(cls(terms)) == store(reference)
+
+
+def test_scalar_paths_build_no_record(monkeypatch):
+    built = []
+    original = GaussianRational.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GaussianRational, "__post_init__", counted)
+    p = LaurentPoly.from_coeffs([3, Fraction(-1, 2), 0, Fraction(4, 2)], valuation=-1)
+    q = p.apply_scaling(Fraction(2, 3))
+    MultiPoly({(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(1, 3)})
+    assert built == []
+    assert q.coeff(-1) == GaussianRational(Fraction(9, 2)) and len(built) == 2
 
 
 def test_exponents_beyond_the_packed_field_are_refused():

@@ -20,7 +20,10 @@ from circleforms import (
 )
 from circleforms.forms import splitting_entries
 
-from strategies import laurents, multis, real_polys, structured_matrices, substitute_images
+from reference_paths import conj, inverse, is_zero, neg
+from strategies import (
+    gaussians, laurents, multis, real_polys, structured_matrices, substitute_images,
+)
 
 QQ_I = sympy.QQ_I
 T, H = sympy.symbols("T H")
@@ -31,6 +34,11 @@ K = 3  # laurents draws exponents from -K up
 def number(c):
     """A GaussianRational as a sympy number."""
     return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def element(c):
+    """A GaussianRational as an element of QQ_I."""
+    return QQ_I.from_sympy(number(c))
 
 
 def lifted(p, shift=K):
@@ -182,3 +190,19 @@ def test_family_formulas_match_the_transcription(m, h):
 def test_conversion_keeps_imaginary_parts():
     p = LaurentPoly.from_coeffs([GaussianRational(Fraction(1, 2), -3)], valuation=-1)
     assert lifted(p) == sympy.Poly((sympy.Rational(1, 2) - 3 * sympy.I) * T ** 2, T, domain=QQ_I)
+
+
+@settings(max_examples=60)
+@given(z=gaussians, w=gaussians)
+def test_record_and_helper_arithmetic_match_sympy(z, w):
+    a, b = element(z), element(w)
+    assert element(z + w) == a + b
+    assert element(z * w) == a * b
+    assert element(neg(z)) == -a
+    assert element(conj(z)) == QQ_I.from_sympy(sympy.conjugate(QQ_I.to_sympy(a)))
+    assert is_zero(z) == (a == QQ_I.zero)
+    if is_zero(z):
+        with pytest.raises(ZeroDivisionError):
+            inverse(z)
+    else:
+        assert element(inverse(z)) == QQ_I.one / a
