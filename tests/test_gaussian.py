@@ -29,8 +29,8 @@ from circleforms.equivalence import equivalence_key
 from circleforms.gaussian import DigitLimitError, integer_kth_root, power
 from circleforms.quotient import in_invariant_subring
 
-from reference_paths import neg
-from strategies import gaussians, rationals
+from reference_paths import conj, inverse, neg
+from strategies import gaussians, nonzero_gaussians, rationals
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -52,13 +52,29 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             power(I, -1, ONE)
 
+    def test_inverse_of_two(self):
+        assert inverse(GaussianRational(2)) == GaussianRational(Fraction(1, 2))
+
+    def test_division_by_zero_is_distinct_error(self):
+        with pytest.raises(ZeroDivisionError):
+            inverse(ZERO)
+
     @given(z1=gaussians, z2=gaussians, z3=gaussians)
-    def test_ring_axioms(self, z1, z2, z3):
+    def test_field_axioms(self, z1, z2, z3):
         assert (z1 + z2) + z3 == z1 + (z2 + z3)
         assert (z1 * z2) * z3 == z1 * (z2 * z3)
         assert z1 * (z2 + z3) == z1 * z2 + z1 * z3
         assert z1 + neg(z1) == ZERO
         assert z1 * ONE == z1
+
+    @given(z=nonzero_gaussians)
+    def test_multiplicative_inverse(self, z):
+        assert z * inverse(z) == ONE
+        assert inverse(inverse(z)) == z
+
+    @given(z1=gaussians, z2=nonzero_gaussians)
+    def test_division_roundtrip(self, z1, z2):
+        assert (z1 * inverse(z2)) * z2 == z1
 
 
 class TestExactInputsOnly:
@@ -174,6 +190,32 @@ class TestRecord:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             GaussianRational(1).re = Fraction(2)
+
+
+class TestConjugation:
+    """The tests' conj on one record agrees with the store's bar on the
+    constant polynomial it makes."""
+
+    def test_basic(self):
+        assert conj(GaussianRational(1, 1)) == GaussianRational(1, -1)
+        z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        assert conj(z) == GaussianRational(Fraction(3, 5), Fraction(-4, 5))
+        assert LaurentPoly.constant(z).bar() == LaurentPoly.constant(conj(z))
+
+    @given(z=gaussians)
+    def test_involution(self, z):
+        assert conj(conj(z)) == z
+        assert LaurentPoly.constant(z).bar().bar() == LaurentPoly.constant(z)
+
+    @given(z1=gaussians, z2=gaussians)
+    def test_ring_automorphism(self, z1, z2):
+        assert conj(z1 * z2) == conj(z1) * conj(z2)
+        assert conj(z1 + z2) == conj(z1) + conj(z2)
+        assert LaurentPoly.constant(z1 * z2).bar() == LaurentPoly.constant(conj(z1) * conj(z2))
+
+    @given(z=gaussians)
+    def test_is_real_iff_fixed(self, z):
+        assert LaurentPoly.constant(z).is_real == (conj(z) == z)
 
 
 class TestOddRoots:
