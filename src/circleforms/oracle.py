@@ -9,12 +9,14 @@ matrices U and V,
 
     U * M = M' * swap(U)      and      V * M = -M' * swap(V),
 
-where swap is the galois rearrangement without conjugation.  Each block is
-an exact nullspace computation over the integers after one common
-denominator is cleared: a kernel basis is updated row by row, never
-eliminating the rows.  Each kernel basis vector is an integer pair (U, D),
-standing for U / D, and the candidates are integer combinations of those
-pairs, so no rational is built.
+where swap is the galois rearrangement without conjugation.
+``conjugators_between`` takes polynomial cocycles M * gamma(M) = I only, as
+every twist is, and a block holds only the P and Q entry equations, which
+for cocycles imply the S and R ones.  Each block is an exact nullspace
+computation over the integers after one common denominator is cleared: a
+kernel basis is updated row by row, never eliminating the rows.  Each kernel
+basis vector is an integer pair (U, D), standing for U / D, and the
+candidates are integer combinations of those pairs, so no rational is built.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
@@ -37,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .forms import FormSpec, make_twist, verify_conjugation
+from .forms import FormSpec, make_twist, verify_cocycle, verify_conjugation
 from .gaussian import RationalLike, as_rational
 from .laurent import LaurentPoly, _evaluate
 from .matrices import StructuredMatrix
@@ -128,7 +130,14 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     the system of the real part of a conjugator, -1 that of its imaginary
     part.  Both sides are scaled by one common denominator of the
     coefficients of M_src and M_dst, so the rows are integers and the
-    kernel is unchanged."""
+    kernel is unchanged.
+
+    Only the P and Q entries are equations, as for real polynomial cocycles
+    they imply the S and R ones: swap(M) = M^-1, so the residual
+    E = X*M_src - sign*M_dst*swap(X) is -sign*M_dst*swap(E)*M_src, whose P
+    and Q entries, once E_P = E_Q = 0, are -sign*P2*(E_R*P + T^e E_S*S) and
+    -sign*P2*(E_R*Q + E_S*R).  P2 != 0, else the cocycle's P entry would be
+    T^e Q2^2, not 1; and det(P, Q; T^e S, R) = det M_src = +-1, so E_R = E_S = 0."""
     e = m_src.e
     width = deg_bound + 1
     component = "re" if sign > 0 else "im"
@@ -140,23 +149,15 @@ def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
             side = "source" if idx < 4 else "target"
             raise ValueError(f"{side} {ENTRIES[idx % 4]} must be real for the split search")
     den = lcm(*(p._den for p in polys))
-    scaled = [{k: c * (den // p._den) for k, c in p._re.items()} for p in polys]
-    P, Q, S, R = scaled[:4]
-    P2, Q2, S2, R2 = scaled[4:]
+    P, Q, S, R, P2, Q2 = [{k: c * (den // p._den) for k, c in p._re.items()} for p in polys[:6]]
     p, q, s, r = range(4)  # the entries of X, in column-block order
 
-    # X * M_src entries, with X = (p, q, s, r) unknown:
-    #   P: p*P + T^e q*S      Q: p*Q + q*R
-    #   S: s*P + r*S          R: T^e s*Q + r*R
-    # sign * M_dst * swap(X), M_dst = (P2, Q2, S2, R2), swap(X) = (r, s, q, p):
-    #   P: P2*r + T^e Q2*q    Q: P2*s + Q2*p
-    #   S: S2*r + R2*q        R: T^e S2*s + R2*p
+    # P and Q entries of X * M_src - sign * M_dst * swap(X), swap(X) = (r, s, q, p):
+    #   p*P + T^e q*S - sign*(P2*r + T^e Q2*q)    p*Q + q*R - sign*(P2*s + Q2*p)
     # as (unknown, its known coefficients, factor, power of T) per entry
     terms = [
         [(p, P, 1, 0), (q, S, 1, e), (r, P2, -sign, 0), (q, Q2, -sign, e)],
         [(p, Q, 1, 0), (q, R, 1, 0), (s, P2, -sign, 0), (p, Q2, -sign, 0)],
-        [(s, P, 1, 0), (r, S, 1, 0), (r, S2, -sign, 0), (q, R2, -sign, 0)],
-        [(s, Q, 1, e), (r, R, 1, 0), (s, S2, -sign, e), (p, R2, -sign, 0)],
     ]
 
     rows: list[list[int]] = []
@@ -248,27 +249,26 @@ def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
                         deg_bound: int) -> list[StructuredMatrix]:
     """All verified conjugators found by the bounded-degree nullspace scan.
 
-    Only candidates whose determinant passes the integer test of
-    ``_det_is_unit`` are built as matrices; each of those is still checked
-    in full by ``verify_conjugation``."""
+    A pair that is not two polynomial cocycles raises ValueError before any
+    system is built.  Only candidates whose determinant passes the integer
+    test of ``_det_is_unit`` are built as matrices; each of those is still
+    checked in full by ``verify_conjugation``.  The candidates are distinct
+    combinations of independent kernel vectors, so none is found twice."""
     if m_src.e != m_dst.e:
         raise ValueError("cross-exponent mismatch")
+    if not all(m.is_polynomial and verify_cocycle(m) for m in (m_src, m_dst)):
+        raise ValueError("conjugators_between takes polynomial cocycles M * gamma(M) = I")
     e = m_src.e
     width = deg_bound + 1
     re_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, +1))
     im_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, -1))
 
     found = []
-    seen = set()
     for u, v, c in _candidates(re_basis, im_basis, 4 * width):
-        if not _det_is_unit(e, width, u, v):
-            continue
-        matrix = _build_matrix(e, u, v, deg_bound, c)
-        if matrix in seen:
-            continue
-        if verify_conjugation(matrix, m_src, m_dst):
-            seen.add(matrix)
-            found.append(matrix)
+        if _det_is_unit(e, width, u, v):
+            matrix = _build_matrix(e, u, v, deg_bound, c)
+            if verify_conjugation(matrix, m_src, m_dst):
+                found.append(matrix)
     return found
 
 

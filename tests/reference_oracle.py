@@ -4,15 +4,17 @@ on ``Fraction`` vectors, with each candidate built through the public
 the integer routines in ``circleforms.oracle`` are checked against.  Those
 hold every kernel basis vector as an integer pair (U, D); ``as_pairs``
 brings a ``Fraction`` basis to that form for comparison.
-``fraction_solve_linear`` runs the reference membership test in
+``reference_block`` is the full conjugation system, all four entry equations,
+against which the P and Q blocks of ``circleforms.oracle._conjugation_block``
+are checked.  ``fraction_solve_linear`` runs the reference membership test in
 ``reference_paths``.  Not used by the package."""
 
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from circleforms import GaussianRational, LaurentPoly, StructuredMatrix
-from circleforms.oracle import _conjugation_block, verify_conjugation
+from circleforms import GaussianRational, LaurentPoly, LinearSystem, StructuredMatrix
+from circleforms.oracle import ENTRIES, verify_conjugation
 
 
 def fraction_rref(rows, ncols):
@@ -117,9 +119,53 @@ def fraction_matrix(e, re_vec, im_vec, deg_bound):
     return StructuredMatrix(e, *entries)
 
 
+def reference_block(m_src, m_dst, deg_bound, sign):
+    """All four entry equations of X * M_src = sign * M_dst * swap(X), with X
+    a real polynomial structured matrix of entry degree <= deg_bound, laid
+    out as in the conjugation blocks and scaled to integers by one common
+    denominator; its P and Q rows come first."""
+    e = m_src.e
+    width = deg_bound + 1
+    component = "re" if sign > 0 else "im"
+    labels = [(entry, j, component) for entry in ENTRIES for j in range(width)]
+    polys = [*m_src.entries(), *m_dst.entries()]
+    assert all(p.is_real for p in polys)
+    den = lcm(*(p._den for p in polys))
+    P, Q, S, R, P2, Q2, S2, R2 = [{k: c * (den // p._den) for k, c in p._re.items()}
+                                  for p in polys]
+    p, q, s, r = range(4)  # the entries of X, in column-block order
+
+    # X * M_src entries, with X = (p, q, s, r) unknown:
+    #   P: p*P + T^e q*S      Q: p*Q + q*R
+    #   S: s*P + r*S          R: T^e s*Q + r*R
+    # sign * M_dst * swap(X), M_dst = (P2, Q2, S2, R2), swap(X) = (r, s, q, p):
+    #   P: P2*r + T^e Q2*q    Q: P2*s + Q2*p
+    #   S: S2*r + R2*q        R: T^e S2*s + R2*p
+    # as (unknown, its known coefficients, factor, power of T) per entry
+    terms = [
+        [(p, P, 1, 0), (q, S, 1, e), (r, P2, -sign, 0), (q, Q2, -sign, e)],
+        [(p, Q, 1, 0), (q, R, 1, 0), (s, P2, -sign, 0), (p, Q2, -sign, 0)],
+        [(s, P, 1, 0), (r, S, 1, 0), (r, S2, -sign, 0), (q, R2, -sign, 0)],
+        [(s, Q, 1, e), (r, R, 1, 0), (s, S2, -sign, e), (p, R2, -sign, 0)],
+    ]
+
+    rows = []
+    for products in terms:
+        by_exponent = {}
+        for unknown, coeffs, factor, shift in products:
+            col = unknown * width
+            for k, coeff in coeffs.items():
+                for j in range(width):
+                    row = by_exponent.setdefault(j + k + shift, [0] * len(labels))
+                    row[col + j] += factor * coeff
+        rows += [by_exponent[t] for t in sorted(by_exponent) if any(by_exponent[t])]
+    return LinearSystem(rows=rows, labels=labels)
+
+
 def reference_bases(m_src, m_dst, deg_bound):
+    """The Fraction kernel bases of the full real and imaginary systems."""
     ncols = 4 * (deg_bound + 1)
-    return tuple(fraction_nullspace(_conjugation_block(m_src, m_dst, deg_bound, sign).rows, ncols)
+    return tuple(fraction_nullspace(reference_block(m_src, m_dst, deg_bound, sign).rows, ncols)
                  for sign in (+1, -1))
 
 

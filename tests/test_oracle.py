@@ -146,6 +146,21 @@ class TestBlockAssembly:
         rows_vanish = all(v == 0 for v in evaluated)
         assert rows_vanish == all(p.is_zero for p in residual)
 
+    @given(m=st.integers(1, 3), h=real_polys, h2=real_polys, sign=st.sampled_from((1, -1)),
+           x=st.lists(real_polys, min_size=4, max_size=4))
+    @settings(max_examples=40)
+    def test_residual_is_fixed_by_the_cocycle(self, m, h, h2, sign, x):
+        # the step behind the P and Q blocks: for cocycles M_src and M_dst the
+        # residual E = X * M_src - sign * M_dst * swap(X) is
+        # -sign * M_dst * swap(E) * M_src
+        m_src, m_dst = make_twist(FormSpec(m, h)), make_twist(FormSpec(m, h2))
+        cand = StructuredMatrix(2 * m + 1, *x)
+        scale = LaurentPoly.constant(-sign)
+        neg_dst = StructuredMatrix(m_dst.e, scale, zero, zero, scale) * m_dst
+        residual = StructuredMatrix(cand.e, *(p + q for p, q in zip(
+            (cand * m_src).entries(), (neg_dst * cand.s_twist()).entries())))
+        assert residual == neg_dst * residual.s_twist() * m_src
+
     def test_conjugate_linearity_decomposition(self):
         # N = U + iV: the residual against gamma splits into the two blocks,
         # with the sign flip on the V block coming from coefficient conjugation

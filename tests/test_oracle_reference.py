@@ -1,6 +1,7 @@
 """Differential tests: the integer kernel bases, the integer candidate scan and
 its determinant test against the rational reference path in
-``reference_oracle``."""
+``reference_oracle``, and the P and Q conjugation blocks against the full
+four-equation system."""
 
 import itertools
 import json
@@ -18,8 +19,10 @@ from circleforms import (
     StructuredMatrix,
     case12_conjugator,
     case12_twist,
+    conjugators_between,
     make_twist,
     nullspace,
+    verify_cocycle,
 )
 from circleforms import oracle
 from circleforms.acceptance import ORACLE_R_GRID
@@ -36,10 +39,11 @@ from reference_oracle import (
     fraction_nullspace,
     fraction_rref,
     reference_bases,
+    reference_block,
     reference_candidates,
     reference_conjugators_between,
 )
-from strategies import rationals
+from strategies import rationals, real_polys
 
 F = Fraction
 
@@ -168,6 +172,8 @@ ORACLE_ARGVS = [
     ["--m", "1", "--h", "1,-1/3", "--hp", "1,1/3", "--deg", "5", "--r-grid=1,-1,2"],
     ["--m", "2", "--h", "0,1", "--hp", "0,-1", "--deg", "6", "--r-grid=-1,1"],
     ["--m", "1", "--h", "0", "--hp", "1", "--deg", "3", "--r-grid=1,-1,2"],
+    # findings with real and with imaginary parts
+    ["--m", "1", "--h", "0", "--hp", "0", "--deg", "2"],
 ]
 
 
@@ -195,6 +201,9 @@ class TestScanAgainstReference:
             ncols = 4 * (deg + 1)
             new = list(_candidates(as_pairs(re_basis), as_pairs(im_basis), ncols))
             assert len(new) == len(ref)
+            # pairwise distinct, so with _build_matrix injective no matrix is found twice
+            assert len({(*(F(x, c) for x in u), *(F(y, c) for y in v))
+                        for u, v, c in new}) == len(new)
             zero = [F(0)] * ncols
             for (u, v, c), (ref_u, ref_v) in zip(new, ref):
                 assert [F(x, c) for x in u] == (zero if ref_u is None else ref_u)
@@ -245,8 +254,9 @@ class TestScanAgainstReference:
             assert nullspace(im_block) == as_pairs(im_basis)
 
     def test_bases_match_on_every_oracle_agreement_system(self):
-        # both blocks at every (h, h2, r) of the criterion's grid; equal
-        # systems (the same h2 rescaled, or a zero h2) are solved once
+        # both blocks at every (h, h2, r) of the criterion's grid against the
+        # full system; equal systems (the same h2 rescaled, or a zero h2) are
+        # solved once
         systems = set()
         for hc, h2c in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=2):
             m_src = make_twist(FormSpec(2, poly(*hc)))
@@ -254,10 +264,11 @@ class TestScanAgainstReference:
                 m_dst = make_twist(FormSpec(2, poly(*h2c).apply_scaling(r)))
                 for sign in (+1, -1):
                     block = oracle._conjugation_block(m_src, m_dst, 6, sign)
-                    systems.add(tuple(map(tuple, block.rows)))
+                    full = reference_block(m_src, m_dst, 6, sign)
+                    systems.add((tuple(map(tuple, block.rows)), tuple(map(tuple, full.rows))))
         assert len(systems) > 400
-        for rows in systems:
-            assert _basis(rows, 28) == as_pairs(fraction_nullspace(rows, 28))
+        for rows, full in systems:
+            assert _basis(rows, 28) == as_pairs(fraction_nullspace(full, 28))
 
     @pytest.mark.parametrize("argv", ORACLE_ARGVS)
     def test_oracle_json_bytes_match_reference(self, argv, capsys, monkeypatch):
@@ -272,3 +283,60 @@ class TestScanAgainstReference:
         assert main(["oracle", "--m", "2", "--h", "1,1", "--hp", "2,8", "--deg", "4",
                      "--r-grid=1,1/2,-1/2", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) >= 1
+
+
+COCYCLE_PAIRS = tuple(itertools.product((StructuredMatrix.identity(4), case12_twist()), repeat=2))
+
+
+def _assert_blocks_match_full_system(m_src, m_dst, deg):
+    for sign in (+1, -1):
+        block = oracle._conjugation_block(m_src, m_dst, deg, sign)
+        full = reference_block(m_src, m_dst, deg, sign)
+        assert block.rows == full.rows[:len(block.rows)]
+        assert nullspace(block) == nullspace(full) == \
+            as_pairs(fraction_nullspace(full.rows, 4 * (deg + 1)))
+
+
+class TestCocycleLemma:
+    """For real polynomial cocycles the P and Q entry equations of a block
+    imply its S and R ones, so the P and Q rows have the kernel of all four."""
+
+    @given(st.integers(1, 3), real_polys, real_polys, st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_family_blocks_have_the_full_kernel(self, m, h, h2, deg):
+        _assert_blocks_match_full_system(make_twist(FormSpec(m, h)),
+                                         make_twist(FormSpec(m, h2)), deg)
+
+    @pytest.mark.parametrize("deg", (0, 1, 3, 5))
+    @pytest.mark.parametrize("pair", range(len(COCYCLE_PAIRS)))
+    def test_identity_and_case12_blocks_have_the_full_kernel(self, pair, deg):
+        _assert_blocks_match_full_system(*COCYCLE_PAIRS[pair], deg)
+
+    def test_identity_and_case12_pairs_pass_the_cocycle_check(self):
+        ident = StructuredMatrix.identity(4)
+        assert ident in conjugators_between(ident, ident, 2)
+        for m_src, m_dst in COCYCLE_PAIRS:
+            assert verify_cocycle(m_src) and verify_cocycle(m_dst)
+            conjugators_between(m_src, m_dst, 2)
+
+    def test_non_cocycle_pair_is_refused_before_any_system(self, monkeypatch):
+        bent = StructuredMatrix(3, poly(1, 1), poly(), poly(), poly(1))
+        twist = make_twist(FormSpec(1, poly(1, 2)))
+        # a Laurent cocycle with P = 0, for which the lemma's P2 != 0 fails
+        laurent = StructuredMatrix(4, poly(), LaurentPoly.monomial(-2),
+                                   -LaurentPoly.monomial(-2), poly(1))
+        assert verify_cocycle(laurent)
+        # for both the P and Q rows have solutions that the full system has not
+        for m_src, m_dst in ((bent, twist), (StructuredMatrix.identity(4), laurent)):
+            for sign in (+1, -1):
+                assert nullspace(oracle._conjugation_block(m_src, m_dst, 3, sign)) != \
+                    nullspace(reference_block(m_src, m_dst, 3, sign))
+
+        def no_system(system):
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(oracle, "nullspace", no_system)
+        for m_src, m_dst in ((bent, twist), (twist, bent), (bent, bent),
+                             (case12_twist(), laurent), (laurent, case12_twist())):
+            with pytest.raises(ValueError, match="cocycle"):
+                conjugators_between(m_src, m_dst, 2)
