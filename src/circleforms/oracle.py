@@ -11,11 +11,17 @@ matrices U and V,
 
 where swap is the galois rearrangement without conjugation.
 ``conjugators_between`` takes polynomial cocycles M * gamma(M) = I only, as
-every twist is, and a block holds only the P and Q entry equations, which
-for cocycles imply the S and R ones.  Each block is an exact nullspace
-computation over the integers after one common denominator is cleared: a
-kernel basis is updated row by row, never eliminating the rows.  Each kernel
-basis vector is an integer pair (U, D), standing for U / D, and the
+every twist is.  For those the P and Q entry equations imply the S and R
+ones, and the P entry P' of M' is a unit of Q[[T]], so the P and Q entry
+equations give the r and s entries of U (or V) as power series in its p
+and q entries (``_conjugation_bases``).  Each block is therefore solved in
+the coefficients of p and q alone, its rows saying that the two series
+stop at the degree cap: an exact nullspace computation over the integers,
+after one common denominator and powers of P'(0) are cleared, in which a
+kernel basis is updated row by row, never eliminating the rows.  Each
+kernel vector is extended by its r and s coefficients and the extended
+vectors are brought to the canonical basis of the whole block.  Each
+kernel basis vector is an integer pair (U, D), standing for U / D, and the
 candidates are integer combinations of those pairs, so no rational is built.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
@@ -48,7 +54,7 @@ VarLabel = tuple[str, int, str]  # (entry P/Q/S/R, exponent, "re" or "im")
 
 ENTRIES = ("P", "Q", "S", "R")
 
-# Largest entry degree a search accepts: the systems have 4*(deg+1) unknowns
+# Largest entry degree a search accepts: the systems have 2*(deg+1) unknowns
 # and the scan is quadratic in the kernel dimension.
 MAX_DEG_BOUND = 16
 
@@ -120,59 +126,130 @@ def nullspace(system: LinearSystem) -> list[IntVector]:
             if d:
                 g = gcd(a, d)
                 kernel[i] = _primitive([a // g * x - d // g * y for x, y in zip(kernel[i], lead)])
-    return [(v, v[f]) if v[f] > 0 else ([-x for x in v], -v[f]) for f, v in zip(free, kernel)]
+    return [_as_pair(v, f) for f, v in zip(free, kernel)]
 
 
-def _conjugation_block(m_src: StructuredMatrix, m_dst: StructuredMatrix,
-                       deg_bound: int, sign: int) -> LinearSystem:
-    """Equations for X * M_src = sign * M_dst * swap(X) with X a real
-    polynomial structured matrix of entry degree <= deg_bound: sign +1 is
-    the system of the real part of a conjugator, -1 that of its imaginary
-    part.  Both sides are scaled by one common denominator of the
-    coefficients of M_src and M_dst, so the rows are integers and the
-    kernel is unchanged.
+def _scaled_series(num: dict[int, int], p2: dict[int, int], length: int) -> list[int]:
+    """G_k = c^(k+1) * [T^k] num/P2 for k < length, with c = P2(0) != 0.
+    From P2 * (num/P2) = num, G_k = c^k num_k - sum_{1<=i<=k} P2_i c^(i-1)
+    G_(k-i): integers, with no division."""
+    c = p2[0]
+    steps = [(i, x * c ** (i - 1)) for i, x in p2.items() if i]
+    out: list[int] = []
+    for k in range(length):
+        out.append(num.get(k, 0) * c ** k - sum(x * out[k - i] for i, x in steps if i <= k))
+    return out
+
+
+def _as_pair(v: list[int], f: int) -> IntVector:
+    """The primitive v as (U, D) with U[f] = D > 0."""
+    return (v, v[f]) if v[f] > 0 else ([-x for x in v], -v[f])
+
+
+def _canonical_basis(vectors: list[list[int]]) -> list[IntVector]:
+    """The basis that ``nullspace`` returns for the span of independent
+    integer vectors, in its order: the reduced echelon form from the right.
+    The vector whose last nonzero column c is largest leads, and c is
+    cleared from every other vector by the update of ``nullspace``; then
+    the rest repeat.  Each vector ends with its last nonzero entry at its
+    own column and a zero at every other vector's, which fixes it up to
+    scale: it is the RREF kernel vector n_f of that column f."""
+    rest, done = list(vectors), []
+    while rest:
+        lasts = [max(j for j, x in enumerate(v) if x) for v in rest]
+        c = max(lasts)
+        lead = rest.pop(lasts.index(c))
+        a = lead[c]
+
+        def clear(v: list[int]) -> list[int]:
+            if not v[c]:
+                return v
+            g = gcd(a, v[c])
+            return _primitive([a // g * x - v[c] // g * y for x, y in zip(v, lead)])
+
+        rest = [clear(v) for v in rest]
+        done = [(f, clear(v)) for f, v in done]
+        done.append((c, lead))
+    return [_as_pair(_primitive(v), f) for f, v in reversed(done)]
+
+
+def _conjugation_bases(m_src: StructuredMatrix, m_dst: StructuredMatrix,
+                       deg_bound: int) -> tuple[list[IntVector], list[IntVector]]:
+    """Kernel bases of X * M_src = sign * M_dst * swap(X), sign +1 then -1,
+    with X = (p, q; s, r) a real polynomial structured matrix of entry degree
+    <= d = deg_bound: sign +1 is the system of the real part of a
+    conjugator, -1 that of its imaginary part.  Each is the basis
+    ``nullspace`` returns for the whole system in the columns p, q, s, r,
+    but only p and q are solved for: r and s are closed forms in them.
+
+    The P and Q entries of the equation are
+        p*P + T^e q*S = sign*(P2*r + T^e Q2*q)    p*Q + q*R = sign*(P2*s + Q2*p),
+    that is, as sign^2 = 1,
+        P2*r = sign*P*p + T^e (sign*S - Q2)*q      P2*s = (sign*Q - Q2)*p + sign*R*q.
+    M_dst is a polynomial cocycle, whose P entry P2*bar(R2) + T^e Q2*bar(Q2)
+    = 1 gives P2(0)*R2(0) = 1 at T = 0; so P2 is a unit of Q[[T]], and for
+    given p and q the two identities fix r and s as power series.  (p, q)
+    extends to a solution exactly when both series are polynomials of degree
+    <= d, and that is when their coefficients at T^(d+1) .. T^(N-1) vanish,
+    for N = d + 1 + the largest degree among P2 and the numerator's terms:
+    then the numerator minus P2 times the series cut at T^d is a polynomial
+    of degree < N and a multiple of T^N, hence zero.  Those coefficients are
+    the rows, one N for r and one for s; the six series P, T^e S, T^e Q2, Q,
+    Q2 and R over P2 are computed once and shared by both signs.  With
+    c = P2(0), c^(k+1) times a series' T^k coefficient is an integer, so row
+    k is scaled by c^(k+1), and the extension of a kernel vector by its r
+    and s coefficients by c^(d+1); the coefficients of M_src and M_dst are
+    put over one common denominator, which cancels in every quotient.
 
     Only the P and Q entries are equations, as for real polynomial cocycles
     they imply the S and R ones: swap(M) = M^-1, so the residual
     E = X*M_src - sign*M_dst*swap(X) is -sign*M_dst*swap(E)*M_src, whose P
     and Q entries, once E_P = E_Q = 0, are -sign*P2*(E_R*P + T^e E_S*S) and
-    -sign*P2*(E_R*Q + E_S*R).  P2 != 0, else the cocycle's P entry would be
-    T^e Q2^2, not 1; and det(P, Q; T^e S, R) = det M_src = +-1, so E_R = E_S = 0."""
+    -sign*P2*(E_R*Q + E_S*R).  P2 != 0, as P2(0) != 0, and det(P, Q; T^e S, R)
+    = det M_src = +-1, so E_R = E_S = 0."""
     e = m_src.e
     width = deg_bound + 1
-    component = "re" if sign > 0 else "im"
-    labels: list[VarLabel] = [(entry, j, component) for entry in ENTRIES for j in range(width)]
-
     polys = [*m_src.entries(), *m_dst.entries()]
     for idx, p in enumerate(polys):
         if not p.is_real:
             side = "source" if idx < 4 else "target"
             raise ValueError(f"{side} {ENTRIES[idx % 4]} must be real for the split search")
-    den = lcm(*(p._den for p in polys))
-    P, Q, S, R, P2, Q2 = [{k: c * (den // p._den) for k, c in p._re.items()} for p in polys[:6]]
-    p, q, s, r = range(4)  # the entries of X, in column-block order
+    den = lcm(*(p._den for p in polys[:6]))
+    P, Q, S, R, P2, Q2 = [{k: x * (den // p._den) for k, x in p._re.items()} for p in polys[:6]]
+    TeS, TeQ2 = ({k + e: x for k, x in f.items()} for f in (S, Q2))
 
-    # P and Q entries of X * M_src - sign * M_dst * swap(X), swap(X) = (r, s, q, p):
-    #   p*P + T^e q*S - sign*(P2*r + T^e Q2*q)    p*Q + q*R - sign*(P2*s + Q2*p)
-    # as (unknown, its known coefficients, factor, power of T) per entry
-    terms = [
-        [(p, P, 1, 0), (q, S, 1, e), (r, P2, -sign, 0), (q, Q2, -sign, e)],
-        [(p, Q, 1, 0), (q, R, 1, 0), (s, P2, -sign, 0), (p, Q2, -sign, 0)],
-    ]
+    def rows_end(*nums):
+        return width + max(max(f) for f in (P2, *nums) if f)
 
-    rows: list[list[int]] = []
-    for products in terms:
-        by_exponent: dict[int, list[int]] = {}
-        for unknown, coeffs, factor, shift in products:
-            col = unknown * width
-            for k, coeff in coeffs.items():
-                for j in range(width):
-                    row = by_exponent.get(j + k + shift)
-                    if row is None:
-                        row = by_exponent[j + k + shift] = [0] * len(labels)
-                    row[col + j] += factor * coeff
-        rows += [by_exponent[t] for t in sorted(by_exponent) if any(by_exponent[t])]
-    return LinearSystem(rows=rows, labels=labels)
+    r_end, s_end = rows_end(P, TeS, TeQ2), rows_end(Q, Q2, R)
+    c = P2[0]
+    P_, TeS_, TeQ2_, Q_, Q2_, R_ = (_scaled_series(f, P2, max(r_end, s_end))
+                                    for f in (P, TeS, TeQ2, Q, Q2, R))
+    powers = [c ** j for j in range(width)]
+
+    bases = []
+    for sign in (+1, -1):
+        component = "re" if sign > 0 else "im"
+        labels: list[VarLabel] = [(entry, j, component) for entry in "PQ" for j in range(width)]
+        # r = r_p*p + r_q*q and s = s_p*p + s_q*q, as scaled series
+        r_p, r_q = [sign * x for x in P_], [sign * x - y for x, y in zip(TeS_, TeQ2_)]
+        s_p, s_q = [sign * x - y for x, y in zip(Q_, Q2_)], [sign * x for x in R_]
+        rows = []
+        for of_p, of_q, end in ((r_p, r_q, r_end), (s_p, s_q, s_end)):
+            for k in range(width, end):
+                row = [w * x[k - j] for x in (of_p, of_q) for j, w in enumerate(powers)]
+                if any(row):
+                    rows.append(row)
+        vectors = []
+        for u, _ in nullspace(LinearSystem(rows, labels)):
+            p, q = u[:width], u[width:]
+            # the coefficients of s and r up to T^d, times c^(d+1)
+            s, r = ([sum(powers[deg_bound - k + j] * (of_p[k - j] * p[j] + of_q[k - j] * q[j])
+                         for j in range(k + 1)) for k in range(width)]
+                    for of_p, of_q in ((s_p, s_q), (r_p, r_q)))
+            vectors.append([c * powers[-1] * x for x in u] + s + r)
+        bases.append(_canonical_basis(vectors))
+    return bases[0], bases[1]
 
 
 def _build_matrix(e: int, u: Sequence[int], v: Sequence[int],
@@ -245,23 +322,30 @@ def _det_is_unit(e: int, width: int, u: Sequence[int], v: Sequence[int]) -> bool
     return abs(re) < half and abs(im) < half and bool(re or im)
 
 
+def _require_cocycles(*matrices: StructuredMatrix) -> None:
+    if not all(m.is_polynomial and verify_cocycle(m) for m in matrices):
+        raise ValueError("conjugators_between takes polynomial cocycles M * gamma(M) = I")
+
+
 def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
-                        deg_bound: int) -> list[StructuredMatrix]:
+                        deg_bound: int, *, source_checked: bool = False) -> list[StructuredMatrix]:
     """All verified conjugators found by the bounded-degree nullspace scan.
 
     A pair that is not two polynomial cocycles raises ValueError before any
-    system is built.  Only candidates whose determinant passes the integer
-    test of ``_det_is_unit`` are built as matrices; each of those is still
-    checked in full by ``verify_conjugation``.  The candidates are distinct
+    system is built; ``source_checked`` says that the caller has already
+    checked m_src, as ``search_conjugator`` does once for its whole grid.
+    Only candidates whose determinant passes the integer test of
+    ``_det_is_unit`` are built as matrices; each of those is still checked
+    in full by ``verify_conjugation``.  The candidates are distinct
     combinations of independent kernel vectors, so none is found twice."""
     if m_src.e != m_dst.e:
         raise ValueError("cross-exponent mismatch")
-    if not all(m.is_polynomial and verify_cocycle(m) for m in (m_src, m_dst)):
-        raise ValueError("conjugators_between takes polynomial cocycles M * gamma(M) = I")
+    if not source_checked:
+        _require_cocycles(m_src)
+    _require_cocycles(m_dst)
     e = m_src.e
     width = deg_bound + 1
-    re_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, +1))
-    im_basis = nullspace(_conjugation_block(m_src, m_dst, deg_bound, -1))
+    re_basis, im_basis = _conjugation_bases(m_src, m_dst, deg_bound)
 
     found = []
     for u, v, c in _candidates(re_basis, im_basis, 4 * width):
@@ -284,8 +368,10 @@ def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
     m_src = make_twist(FormSpec(m, h))
+    _require_cocycles(m_src)
     results = []
     for r in grid:
         m_dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
-        results.extend((r, matrix) for matrix in conjugators_between(m_src, m_dst, deg_bound))
+        found = conjugators_between(m_src, m_dst, deg_bound, source_checked=True)
+        results.extend((r, matrix) for matrix in found)
     return results

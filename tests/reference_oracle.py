@@ -4,9 +4,9 @@ on ``Fraction`` vectors, with each candidate built through the public
 the integer routines in ``circleforms.oracle`` are checked against.  Those
 hold every kernel basis vector as an integer pair (U, D); ``as_pairs``
 brings a ``Fraction`` basis to that form for comparison.
-``reference_block`` is the full conjugation system, all four entry equations,
-against which the P and Q blocks of ``circleforms.oracle._conjugation_block``
-are checked.  ``fraction_solve_linear`` runs the reference membership test in
+``reference_block`` is the full conjugation system, all four entry equations;
+``conjugation_block`` is its P and Q entry equations alone, the system whose
+kernel ``circleforms.oracle._conjugation_bases`` computes in closed form.  ``fraction_solve_linear`` runs the reference membership test in
 ``reference_paths``.  Not used by the package."""
 
 from fractions import Fraction
@@ -119,11 +119,12 @@ def fraction_matrix(e, re_vec, im_vec, deg_bound):
     return StructuredMatrix(e, *entries)
 
 
-def reference_block(m_src, m_dst, deg_bound, sign):
-    """All four entry equations of X * M_src = sign * M_dst * swap(X), with X
-    a real polynomial structured matrix of entry degree <= deg_bound, laid
-    out as in the conjugation blocks and scaled to integers by one common
-    denominator; its P and Q rows come first."""
+def reference_block(m_src, m_dst, deg_bound, sign, entries=4):
+    """The entry equations of X * M_src = sign * M_dst * swap(X), with X a
+    real polynomial structured matrix of entry degree <= deg_bound, laid out
+    as in the conjugation blocks and scaled to integers by one common
+    denominator: those of the first ``entries`` of P, Q, S and R, in that
+    order."""
     e = m_src.e
     width = deg_bound + 1
     component = "re" if sign > 0 else "im"
@@ -150,7 +151,7 @@ def reference_block(m_src, m_dst, deg_bound, sign):
     ]
 
     rows = []
-    for products in terms:
+    for products in terms[:entries]:
         by_exponent = {}
         for unknown, coeffs, factor, shift in products:
             col = unknown * width
@@ -162,6 +163,12 @@ def reference_block(m_src, m_dst, deg_bound, sign):
     return LinearSystem(rows=rows, labels=labels)
 
 
+def conjugation_block(m_src, m_dst, deg_bound, sign):
+    """The P and Q entry equations of ``reference_block``, which for real
+    polynomial cocycles have the kernel of all four."""
+    return reference_block(m_src, m_dst, deg_bound, sign, entries=2)
+
+
 def reference_bases(m_src, m_dst, deg_bound):
     """The Fraction kernel bases of the full real and imaginary systems."""
     ncols = 4 * (deg_bound + 1)
@@ -169,9 +176,10 @@ def reference_bases(m_src, m_dst, deg_bound):
                  for sign in (+1, -1))
 
 
-def reference_conjugators_between(m_src, m_dst, deg_bound):
+def reference_conjugators_between(m_src, m_dst, deg_bound, *, source_checked=False):
     """The scan with every candidate built as a matrix and filtered by
-    ``StructuredMatrix.det``."""
+    ``StructuredMatrix.det``; it checks no cocycle, so ``source_checked``
+    changes nothing."""
     found = []
     seen = set()
     for re_vec, im_vec in reference_candidates(*reference_bases(m_src, m_dst, deg_bound)):

@@ -20,11 +20,12 @@ from circleforms import (
     make_twist,
     nullspace,
     search_conjugator,
+    verify_cocycle,
     verify_conjugation,
 )
-from circleforms.oracle import MAX_DEG_BOUND, _conjugation_block
+from circleforms.oracle import MAX_DEG_BOUND
 
-from reference_oracle import fraction_solve_linear
+from reference_oracle import conjugation_block, fraction_solve_linear
 from reference_paths import conjugates_by_inverse, proof_conditions, unit_inverse
 from strategies import lambda_matrices, real_polys
 
@@ -140,7 +141,7 @@ class TestBlockAssembly:
                    for i in range(4)]
         cand = StructuredMatrix(3, *entries)
         residual = _entry_difference(cand * m_src, m_dst * cand.s_twist())
-        block = _conjugation_block(m_src, m_dst, deg, +1)
+        block = conjugation_block(m_src, m_dst, deg, +1)
         vec = [F(u[i]) for i in range(8)]
         evaluated = [sum(a * x for a, x in zip(row, vec)) for row in block.rows]
         rows_vanish = all(v == 0 for v in evaluated)
@@ -256,6 +257,19 @@ class TestSearch:
         search_conjugator(poly(1, 1), poly(2, 8), 2, 1, grid)
         assert len(calls) == 1 + len(grid)
 
+    def test_source_cocycle_checked_once(self, monkeypatch):
+        checked = []
+
+        def counting_verify_cocycle(matrix):
+            checked.append(matrix)
+            return verify_cocycle(matrix)
+
+        monkeypatch.setattr("circleforms.oracle.verify_cocycle", counting_verify_cocycle)
+        grid = [F(1), F(-1), F(1, 2)]
+        search_conjugator(poly(1, 1), poly(2, 8), 2, 1, grid)
+        assert len(checked) == 1 + len(grid)
+        assert checked[0] == make_twist(FormSpec(2, poly(1, 1)))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             search_conjugator(one, one, 1, 3, [])
@@ -321,7 +335,7 @@ class TestConjugatorsBetween:
         conj = case12_conjugator()
         ident = StructuredMatrix.identity(4)
         for component, sign in (("re", +1), ("im", -1)):
-            block = _conjugation_block(ident, case12_twist(), deg, sign)
+            block = conjugation_block(ident, case12_twist(), deg, sign)
             vec = []
             for entry in conj.entries():
                 for j in range(width):
@@ -329,6 +343,13 @@ class TestConjugatorsBetween:
                     vec.append(F(c.re if component == "re" else c.im))
             residuals = [sum(a * x for a, x in zip(row, vec)) for row in block.rows]
             assert all(v == 0 for v in residuals)
+
+    def test_non_real_cocycle_is_refused(self):
+        # diag(i, i) is a polynomial cocycle whose entries are not real
+        i_unit = LaurentPoly.constant(GaussianRational(0, 1))
+        ident = StructuredMatrix.identity(3)
+        with pytest.raises(ValueError, match="target P must be real"):
+            conjugators_between(ident, StructuredMatrix(3, i_unit, zero, zero, i_unit), 1)
 
     def test_axis_aligned_solutions_found(self):
         # where a diagonal rational conjugator exists the two-vector scan

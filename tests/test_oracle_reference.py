@@ -1,7 +1,8 @@
 """Differential tests: the integer kernel bases, the integer candidate scan and
 its determinant test against the rational reference path in
-``reference_oracle``, and the P and Q conjugation blocks against the full
-four-equation system."""
+``reference_oracle``, the P and Q conjugation blocks against the full
+four-equation system, and the closed-form bases of the oracle against the
+kernels of the P and Q blocks."""
 
 import itertools
 import json
@@ -35,6 +36,7 @@ from circleforms.oracle import (
 
 from reference_oracle import (
     as_pairs,
+    conjugation_block,
     fraction_matrix,
     fraction_nullspace,
     fraction_rref,
@@ -246,8 +248,8 @@ class TestScanAgainstReference:
         for r in grid:
             m_src, m_dst = _twists(m, h, h2, r)
             re_basis, im_basis = reference_bases(m_src, m_dst, deg)
-            re_block = oracle._conjugation_block(m_src, m_dst, deg, +1)
-            im_block = oracle._conjugation_block(m_src, m_dst, deg, -1)
+            re_block = conjugation_block(m_src, m_dst, deg, +1)
+            im_block = conjugation_block(m_src, m_dst, deg, -1)
             assert all(type(x) is int for block in (re_block, im_block)
                        for row in block.rows for x in row)
             assert nullspace(re_block) == as_pairs(re_basis)
@@ -263,7 +265,7 @@ class TestScanAgainstReference:
             for r in ORACLE_R_GRID:
                 m_dst = make_twist(FormSpec(2, poly(*h2c).apply_scaling(r)))
                 for sign in (+1, -1):
-                    block = oracle._conjugation_block(m_src, m_dst, 6, sign)
+                    block = conjugation_block(m_src, m_dst, 6, sign)
                     full = reference_block(m_src, m_dst, 6, sign)
                     systems.add((tuple(map(tuple, block.rows)), tuple(map(tuple, full.rows))))
         assert len(systems) > 400
@@ -290,11 +292,72 @@ COCYCLE_PAIRS = tuple(itertools.product((StructuredMatrix.identity(4), case12_tw
 
 def _assert_blocks_match_full_system(m_src, m_dst, deg):
     for sign in (+1, -1):
-        block = oracle._conjugation_block(m_src, m_dst, deg, sign)
+        block = conjugation_block(m_src, m_dst, deg, sign)
         full = reference_block(m_src, m_dst, deg, sign)
         assert block.rows == full.rows[:len(block.rows)]
         assert nullspace(block) == nullspace(full) == \
             as_pairs(fraction_nullspace(full.rows, 4 * (deg + 1)))
+
+
+def _conjugated(n, m):
+    """N * M * gamma(N)^-1, for N = diag(a, b) with nonzero rational a, b: a
+    cocycle when M is, with P entry (a/b) * P."""
+    a, b = (x.coeff(0).re for x in (n.P, n.R))
+    inverse = StructuredMatrix(n.e, LaurentPoly.constant(1 / b), poly(), poly(),
+                               LaurentPoly.constant(1 / a))
+    return n * m * inverse
+
+
+def _diag(e, a, b):
+    return StructuredMatrix(e, LaurentPoly.constant(a), poly(), poly(), LaurentPoly.constant(b))
+
+
+def _assert_closed_form_matches_block(m_src, m_dst, deg):
+    assert oracle._conjugation_bases(m_src, m_dst, deg) == tuple(
+        nullspace(conjugation_block(m_src, m_dst, deg, sign)) for sign in (+1, -1))
+
+
+class TestClosedFormBases:
+    """The bases solved on the p and q columns, with r and s in closed form,
+    equal those of the P and Q entry equations in all four columns."""
+
+    @given(st.integers(1, 3), real_polys, real_polys, st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_family_twists(self, m, h, h2, deg):
+        _assert_closed_form_matches_block(make_twist(FormSpec(m, h)),
+                                          make_twist(FormSpec(m, h2)), deg)
+
+    @pytest.mark.parametrize("deg", (0, 1, 3, 5))
+    @pytest.mark.parametrize("pair", range(len(COCYCLE_PAIRS)))
+    def test_identity_and_case12(self, pair, deg):
+        _assert_closed_form_matches_block(*COCYCLE_PAIRS[pair], deg)
+
+    def test_every_oracle_agreement_system(self):
+        # equal targets (the same h2 rescaled, or a zero h2) are solved once
+        twists = {}
+        for hc, h2c in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=2):
+            for r in ORACLE_R_GRID:
+                h2 = poly(*h2c).apply_scaling(r)
+                twists[hc, h2] = make_twist(FormSpec(2, poly(*hc))), make_twist(FormSpec(2, h2))
+        assert len(twists) == 225
+        for m_src, m_dst in twists.values():
+            _assert_closed_form_matches_block(m_src, m_dst, 6)
+
+    @pytest.mark.parametrize("deg", range(4))
+    def test_target_constant_term_not_one(self, deg):
+        # diag(2, 1/2) is a cocycle with P(0) = 2, so every row and every
+        # closed form carries powers of 2; its kernels have dimension 2(deg+1)
+        diag = _diag(3, 2, F(1, 2))
+        assert verify_cocycle(diag)
+        bases = oracle._conjugation_bases(diag, diag, deg)
+        assert [len(b) for b in bases] == [2 * (deg + 1)] * 2
+        twist = make_twist(FormSpec(1, poly(1, F(-1, 3))))
+        bent = _conjugated(_diag(3, 2, 1), twist)
+        assert verify_cocycle(bent) and bent.P.coeff(0).re == 2
+        for m_src, m_dst in ((diag, diag), (StructuredMatrix.identity(3), diag),
+                             (diag, StructuredMatrix.identity(3)), (twist, bent),
+                             (bent, twist), (bent, bent)):
+            _assert_closed_form_matches_block(m_src, m_dst, deg)
 
 
 class TestCocycleLemma:
@@ -329,7 +392,7 @@ class TestCocycleLemma:
         # for both the P and Q rows have solutions that the full system has not
         for m_src, m_dst in ((bent, twist), (StructuredMatrix.identity(4), laurent)):
             for sign in (+1, -1):
-                assert nullspace(oracle._conjugation_block(m_src, m_dst, 3, sign)) != \
+                assert nullspace(conjugation_block(m_src, m_dst, 3, sign)) != \
                     nullspace(reference_block(m_src, m_dst, 3, sign))
 
         def no_system(system):
