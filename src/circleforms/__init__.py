@@ -31,7 +31,7 @@ from .forms import (
     make_circle_form,
     make_splitting,
     make_twist,
-    verify_case12_bundle,
+    verify_bundle_involution,
     verify_cocycle,
     verify_conjugation,
     verify_splitting,

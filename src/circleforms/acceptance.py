@@ -24,6 +24,7 @@ from .forms import (
     linear_circle_form,
     make_circle_form,
     make_twist,
+    verify_cocycle,
 )
 from .gaussian import GaussianRational, RationalLike
 from .laurent import LaurentPoly
@@ -39,16 +40,19 @@ GRID_MS = (1, 2, 3)
 def twist_family_suite() -> tuple[bool, str]:
     """Every (m, h) in the coefficient grid passes family_checks: M_h is a
     unit-determinant cocycle split by K_h, and mu_h is a weight-graded
-    involution.  family_checks derives the last two from M_h; here mu_h is
-    built on every case, and is_involution and weight_check computed on it
-    must give the same values."""
+    involution.  family_checks reads the cocycle in closed form and derives
+    the last two from M_h; here the product M_h * gamma(M_h) and mu_h are
+    built on every case, and verify_cocycle, is_involution and weight_check
+    computed on them must give the same values."""
     cases = 0
     for m in GRID_MS:
         for coeffs in itertools.product(GRID_VALUES, repeat=4):
             spec = FormSpec(m, LaurentPoly.from_coeffs(coeffs))
             checks = family_checks(spec)
-            mu = make_circle_form(make_twist(spec))
-            computed = {"involution": is_involution(mu),
+            twist = make_twist(spec)
+            mu = make_circle_form(twist)
+            computed = {"cocycle": verify_cocycle(twist),
+                        "involution": is_involution(mu),
                         "weight_grading": weight_check(mu, spec.weights())}
             differ = [name for name, ok in computed.items() if ok != checks[name]]
             if differ:
@@ -128,12 +132,19 @@ def case12_suite() -> tuple[bool, str]:
     """The weight-(1,2) twist defines an orthogonal-bundle involution and its
     circle form linearizes through the stored non-real conjugator: every
     check of case12_checks, the list the case12 subcommand shows.  Its
-    involution_relations is derived from the twist; here the circle form is
-    built, and is_involution and weight_check computed on it must agree."""
+    bundle_conditions is read in closed form and its involution_relations
+    derived from the twist; here the product Phi * gamma(Phi) and the
+    circle form are built, and verify_cocycle, is_involution and
+    weight_check computed on them must agree."""
     checks = case12_checks()
-    mu = make_circle_form(case12_twist())
-    if checks["involution_relations"] != (is_involution(mu) and weight_check(mu, CASE12_WEIGHTS)):
-        return False, "derived and computed differ: involution_relations"
+    twist = case12_twist()
+    mu = make_circle_form(twist)
+    computed = {"bundle_conditions": verify_cocycle(twist),
+                "involution_relations": (is_involution(mu)
+                                         and weight_check(mu, CASE12_WEIGHTS))}
+    differ = [name for name, ok in computed.items() if ok != checks[name]]
+    if differ:
+        return False, "derived and computed differ: " + ", ".join(differ)
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         return False, "failed: " + ", ".join(failed)

@@ -19,26 +19,31 @@ tests over a grid of (m, h).
 
 family_checks is the one list of the checks that make mu_h a real circle
 form: det M_h = 1, M_h * gamma(M_h) = I, K_h = M_h * gamma(K_h), mu_h^2 = id
-and the weight grading.  The last two are derived, with the representation
-lemma, from the matrix M_h; mu_h itself is not built.  The lemma is the pair
+and the weight grading.  The cocycle is read in closed form: M_h is real,
+so gamma(M_h) is its holomorphic swap-twin, and for polynomial entries
+M * swap(M) = I is S = -Q and det M = 1 (verify_bundle_involution).  The
+last two checks are derived, with the representation lemma, from the
+matrix M_h; mu_h itself is not built.  The lemma is the pair
 of identities phi_A o phi_B = phi_{A*B} and mu_0 o phi_M o mu_0 =
 phi_{gamma(M)} for structured A, B, M with polynomial entries, where
 phi_M = expand(M).  Together they give mu_M^2 = phi_M o phi_{gamma(M)} =
 phi_{M * gamma(M)}, and expand is injective, so mu_M^2 = id exactly when
 verify_cocycle(M) holds.  tests/test_representation_lemma.py proves both
 identities as polynomial identities in the entries; the twist-family and
-case12 release criteria still build mu_h and compare the computed checks
-with the derived ones.
+case12 release criteria still build mu_h and the product M * gamma(M), and
+compare the computed checks with the derived ones.
 
 Two real forms are compared through one relation: a conjugator N in the
 polynomial group Lambda with N * M = M' * gamma(N) (verify_conjugation).
 
 The weight-(1,2) case uses cross-exponent 4.  Its twist is the family twist
 formula at n = 4 and h = 1, which defines a nontrivial orthogonal bundle
-involution; its exact conjugator with non-real coefficients linearizes the
-associated circle form, which is the relation above with M = I.
-case12_checks is the one list of its checks, and it derives the involution
-and weight-grading checks of its circle form as family_checks does.
+involution: it composes with its holomorphic swap-twin to the identity,
+the same closed form as the cocycle of M_h, since its entries are real.
+Its exact conjugator with non-real coefficients linearizes the associated
+circle form, which is the relation above with M = I.  case12_checks is the
+one list of its checks, and it derives the involution and weight-grading
+checks of its circle form as family_checks does.
 """
 
 from __future__ import annotations
@@ -121,8 +126,29 @@ def make_splitting(spec: FormSpec) -> StructuredMatrix:
 
 def verify_cocycle(matrix: StructuredMatrix) -> bool:
     """M * gamma(M) == identity, the condition for phi_M o mu_0 to be an
-    antiholomorphic involution."""
+    antiholomorphic involution, as one structured product.  Verdicts read
+    it in closed form (verify_bundle_involution); the twist-family and
+    case12 release criteria compute this product to check that form."""
     return matrix * matrix.galois() == StructuredMatrix.identity(matrix.e)
+
+
+def verify_bundle_involution(matrix: StructuredMatrix) -> bool:
+    """M * swap(M) == I, where swap(M) = (R, a^e S; b^e Q, P) is the
+    holomorphic swap-twin of M, for M with polynomial entries; computed in
+    closed form as S == -Q and det M == 1.  For real entries swap(M) =
+    gamma(M), so this is the cocycle M * gamma(M) = I (verify_cocycle).
+
+    The entries of M * swap(M) are P*R + T^e Q^2, a^e P*(S + Q),
+    b^e R*(S + Q) and P*R + T^e S^2.  If S + Q != 0, the two off-diagonal
+    entries vanish only for P = R = 0, as Q(i)[T] is an integral domain,
+    and then the first says T^e Q^2 = 1, which has no polynomial solution.
+    So S = -Q, both diagonal entries are P*R - T^e Q*S = det M, and M *
+    swap(M) = I is S = -Q and det M = 1.  Over a commutative ring a
+    one-sided inverse of a square matrix is two-sided, so swap(M) * M = I
+    holds with it.  A matrix with a negative power of T gets False: for
+    those the equivalence fails, as P = R = 0 and Q = S = T^-2 at e = 4
+    give M * swap(M) = I."""
+    return matrix.is_polynomial and matrix.S == -matrix.Q and matrix.det() == LaurentPoly.one()
 
 
 def verify_splitting(twist: StructuredMatrix, splitting: StructuredMatrix) -> bool:
@@ -169,12 +195,13 @@ def make_circle_form(twist: StructuredMatrix) -> PolyMap:
 
 def family_checks(spec: FormSpec) -> dict[str, bool]:
     """Every check that mu_h is a real circle form, in display order: det M_h
-    = 1, the cocycle M_h * gamma(M_h) = I, the splitting K_h = M_h *
-    gamma(K_h), mu_h^2 = id and the weight grading.  M_h and K_h are each
-    built once; mu_h^2 = id and the weight grading are derived, with the
-    lemma, from the cocycle and verify_weight_grading (which reads e = n)."""
+    = 1, the cocycle M_h * gamma(M_h) = I (verify_bundle_involution, as M_h
+    is real), the splitting K_h = M_h * gamma(K_h), mu_h^2 = id and the
+    weight grading.  M_h and K_h are each built once; mu_h^2 = id and the
+    weight grading are derived, with the lemma, from the cocycle and
+    verify_weight_grading (which reads e = n)."""
     twist = make_twist(spec)
-    cocycle = verify_cocycle(twist)
+    cocycle = verify_bundle_involution(twist)
     return {
         "det_is_one": twist.det() == LaurentPoly.one(),
         "cocycle": cocycle,
@@ -209,27 +236,21 @@ def case12_conjugator() -> StructuredMatrix:
                             quarters((4, 0), (2, -2), (1, -1), (1, -1)))
 
 
-def verify_case12_bundle(twist: StructuredMatrix) -> bool:
-    """The twist composes with its holomorphic swap-twin to the identity,
-    so tau = phi o tau0 squares to the identity."""
-    swap, ident = twist.s_twist(), StructuredMatrix.identity(twist.e)
-    return twist * swap == ident and swap * twist == ident
-
-
 def case12_checks() -> dict[str, bool]:
     """Every weight-(1,2) check, in display order.  The stored conjugator N
     linearizes the form (N * I = Phi * gamma(N) with N in Lambda) and is not
-    real; the twist Phi satisfies the bundle conditions; and its circle form
-    mu = phi_Phi o mu_0 is a weight-graded involution, derived, with the
-    lemma, as family_checks derives it for mu_h: the cocycle (Phi is real,
-    so gamma(Phi) is its swap-twin) and e*1 = 4 = 2*2.  Each matrix is built
-    once."""
+    real; the twist Phi composes with its swap-twin to the identity
+    (verify_bundle_involution); and its circle form mu = phi_Phi o mu_0 is
+    a weight-graded involution, derived, with the lemma, as family_checks
+    derives it for mu_h: Phi is real, so gamma(Phi) is its swap-twin and
+    the bundle condition is the cocycle, and e*1 = 4 = 2*2.  Each matrix is
+    built once."""
     twist = case12_twist()
     conj = case12_conjugator()
+    involution = verify_bundle_involution(twist)
     return {
         "linearization": verify_conjugation(conj, StructuredMatrix.identity(twist.e), twist),
-        "bundle_conditions": verify_case12_bundle(twist),
-        "involution_relations": (verify_cocycle(twist)
-                                 and verify_weight_grading(twist, CASE12_WEIGHTS)),
+        "bundle_conditions": involution,
+        "involution_relations": involution and verify_weight_grading(twist, CASE12_WEIGHTS),
         "conjugator_not_real": conj.galois() != conj,
     }

@@ -14,8 +14,9 @@ entries are polynomial in T and whose det is a nonzero constant.  The
 splitting matrices K_h are Laurent with det 1, so they lie outside it;
 inverse() is the SL_2 adjugate and takes det-1 matrices only.
 
-The Galois twist gamma sends (P, Q, S, R) to (bar R, bar S, bar Q, bar P);
-the holomorphic bundle twist does the same swap without conjugation.
+The Galois twist gamma sends (P, Q, S, R) to (bar R, bar S, bar Q, bar P).
+The holomorphic swap-twin, the same swap without conjugation, is never
+built: forms.verify_bundle_involution reads M * swap(M) = I in closed form.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class StructuredMatrix:
 
     def galois(self) -> "StructuredMatrix":
         return StructuredMatrix(self.e, self.R.bar(), self.S.bar(), self.Q.bar(), self.P.bar())
-
-    def s_twist(self) -> "StructuredMatrix":
-        return StructuredMatrix(self.e, self.R, self.S, self.Q, self.P)
 
     def inverse(self) -> "StructuredMatrix":
         """The inverse (R, -Q; -S, P) of a matrix of det 1, such as a

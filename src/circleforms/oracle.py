@@ -10,19 +10,22 @@ matrices U and V,
     U * M = M' * swap(U)      and      V * M = -M' * swap(V),
 
 where swap is the galois rearrangement without conjugation.
-``conjugators_between`` takes polynomial cocycles M * gamma(M) = I only, as
-every twist is.  For those the P and Q entry equations imply the S and R
-ones, and the P entry P' of M' is a unit of Q[[T]], so the P and Q entry
-equations give the r and s entries of U (or V) as power series in its p
-and q entries (``_conjugation_bases``).  Each block is therefore solved in
-the coefficients of p and q alone, its rows saying that the two series
-stop at the degree cap: an exact nullspace computation over the integers,
-after one common denominator and powers of P'(0) are cleared, in which a
-kernel basis is updated row by row, never eliminating the rows.  Each
-kernel vector is extended by its r and s coefficients and the extended
-vectors are brought to the canonical basis of the whole block.  Each
-kernel basis vector is an integer pair (U, D), standing for U / D, and the
-candidates are integer combinations of those pairs, so no rational is built.
+``conjugators_between`` takes real polynomial cocycles M * gamma(M) = I
+only, as every twist is, and checks both matrices before it builds a system,
+in the closed form S = -Q and det M = 1 (for real M, gamma(M) is swap(M),
+and ``forms.verify_bundle_involution`` proves the form).  For those the P
+and Q entry equations imply the S and R ones, and the P entry P' of M' is a
+unit of Q[[T]], so the P and Q entry equations give the r and s entries of U
+(or V) as power series in its p and q entries (``_conjugation_bases``).
+Each block is therefore solved in the coefficients of p and q alone, its
+rows saying that the two series stop at the degree cap: an exact nullspace
+computation over the integers, after one common denominator and powers of
+P'(0) are cleared, in which a kernel basis is updated row by row, never
+eliminating the rows.  Each kernel vector is extended by its r and s
+coefficients and the extended vectors are brought to the canonical basis of
+the whole block.  Each kernel basis vector is an integer pair (U, D),
+standing for U / D, and the candidates are integer combinations of those
+pairs, so no rational is built.
 
 The search is a semi-decision: degree of N is capped and the base rescaling
 r ranges over a finite grid, so emptiness never certifies inequivalence by
@@ -45,7 +48,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .forms import FormSpec, make_twist, verify_cocycle, verify_conjugation
+from .forms import FormSpec, make_twist, verify_bundle_involution, verify_conjugation
 from .gaussian import RationalLike, as_rational
 from .laurent import LaurentPoly, _evaluate
 from .matrices import StructuredMatrix
@@ -124,9 +127,15 @@ def nullspace(system: LinearSystem) -> list[IntVector]:
         lead, a = kernel.pop(k), dots.pop(k)
         for i, d in enumerate(dots):
             if d:
-                g = gcd(a, d)
-                kernel[i] = _primitive([a // g * x - d // g * y for x, y in zip(kernel[i], lead)])
+                kernel[i] = _eliminate(kernel[i], d, lead, a)
     return [_as_pair(v, f) for f, v in zip(free, kernel)]
+
+
+def _eliminate(v: list[int], d: int, lead: list[int], a: int) -> list[int]:
+    """The primitive form of (a/g)*v - (d/g)*lead, g = gcd(a, d): the update
+    that clears v against lead where v reads d and lead reads a."""
+    g = gcd(a, d)
+    return _primitive([a // g * x - d // g * y for x, y in zip(v, lead)])
 
 
 def _scaled_series(num: dict[int, int], p2: dict[int, int], length: int) -> list[int]:
@@ -160,15 +169,8 @@ def _canonical_basis(vectors: list[list[int]]) -> list[IntVector]:
         c = max(lasts)
         lead = rest.pop(lasts.index(c))
         a = lead[c]
-
-        def clear(v: list[int]) -> list[int]:
-            if not v[c]:
-                return v
-            g = gcd(a, v[c])
-            return _primitive([a // g * x - v[c] // g * y for x, y in zip(v, lead)])
-
-        rest = [clear(v) for v in rest]
-        done = [(f, clear(v)) for f, v in done]
+        rest = [_eliminate(v, v[c], lead, a) if v[c] else v for v in rest]
+        done = [(f, _eliminate(v, v[c], lead, a) if v[c] else v) for f, v in done]
         done.append((c, lead))
     return [_as_pair(_primitive(v), f) for f, v in reversed(done)]
 
@@ -186,8 +188,9 @@ def _conjugation_bases(m_src: StructuredMatrix, m_dst: StructuredMatrix,
         p*P + T^e q*S = sign*(P2*r + T^e Q2*q)    p*Q + q*R = sign*(P2*s + Q2*p),
     that is, as sign^2 = 1,
         P2*r = sign*P*p + T^e (sign*S - Q2)*q      P2*s = (sign*Q - Q2)*p + sign*R*q.
-    M_dst is a polynomial cocycle, whose P entry P2*bar(R2) + T^e Q2*bar(Q2)
-    = 1 gives P2(0)*R2(0) = 1 at T = 0; so P2 is a unit of Q[[T]], and for
+    M_dst is a real polynomial cocycle (``conjugators_between`` has checked
+    both matrices), whose P entry P2*bar(R2) + T^e Q2*bar(Q2) = 1 gives
+    P2(0)*R2(0) = 1 at T = 0; so P2 is a unit of Q[[T]], and for
     given p and q the two identities fix r and s as power series.  (p, q)
     extends to a solution exactly when both series are polynomials of degree
     <= d, and that is when their coefficients at T^(d+1) .. T^(N-1) vanish,
@@ -210,10 +213,6 @@ def _conjugation_bases(m_src: StructuredMatrix, m_dst: StructuredMatrix,
     e = m_src.e
     width = deg_bound + 1
     polys = [*m_src.entries(), *m_dst.entries()]
-    for idx, p in enumerate(polys):
-        if not p.is_real:
-            side = "source" if idx < 4 else "target"
-            raise ValueError(f"{side} {ENTRIES[idx % 4]} must be real for the split search")
     den = lcm(*(p._den for p in polys[:6]))
     P, Q, S, R, P2, Q2 = [{k: x * (den // p._den) for k, x in p._re.items()} for p in polys[:6]]
     TeS, TeQ2 = ({k + e: x for k, x in f.items()} for f in (S, Q2))
@@ -322,27 +321,27 @@ def _det_is_unit(e: int, width: int, u: Sequence[int], v: Sequence[int]) -> bool
     return abs(re) < half and abs(im) < half and bool(re or im)
 
 
-def _require_cocycles(*matrices: StructuredMatrix) -> None:
-    if not all(m.is_polynomial and verify_cocycle(m) for m in matrices):
-        raise ValueError("conjugators_between takes polynomial cocycles M * gamma(M) = I")
-
-
 def conjugators_between(m_src: StructuredMatrix, m_dst: StructuredMatrix,
-                        deg_bound: int, *, source_checked: bool = False) -> list[StructuredMatrix]:
+                        deg_bound: int) -> list[StructuredMatrix]:
     """All verified conjugators found by the bounded-degree nullspace scan.
 
-    A pair that is not two polynomial cocycles raises ValueError before any
-    system is built; ``source_checked`` says that the caller has already
-    checked m_src, as ``search_conjugator`` does once for its whole grid.
-    Only candidates whose determinant passes the integer test of
+    Before any system is built, each of m_src and m_dst must have
+    polynomial entries, real ones, and be a cocycle M * gamma(M) = I, read
+    in the closed form of ``verify_bundle_involution`` (for real entries
+    gamma(M) is the swap-twin); anything else raises ValueError.  Only
+    candidates whose determinant passes the integer test of
     ``_det_is_unit`` are built as matrices; each of those is still checked
     in full by ``verify_conjugation``.  The candidates are distinct
     combinations of independent kernel vectors, so none is found twice."""
     if m_src.e != m_dst.e:
         raise ValueError("cross-exponent mismatch")
-    if not source_checked:
-        _require_cocycles(m_src)
-    _require_cocycles(m_dst)
+    for side, matrix in (("source", m_src), ("target", m_dst)):
+        if matrix.is_polynomial:
+            for name, p in zip(ENTRIES, matrix.entries()):
+                if not p.is_real:
+                    raise ValueError(f"{side} {name} must be real for the split search")
+        if not verify_bundle_involution(matrix):
+            raise ValueError("conjugators_between takes polynomial cocycles M * gamma(M) = I")
     e = m_src.e
     width = deg_bound + 1
     re_basis, im_basis = _conjugation_bases(m_src, m_dst, deg_bound)
@@ -361,17 +360,18 @@ def search_conjugator(h: LaurentPoly, h2: LaurentPoly, m: int, deg_bound: int,
     """For each r in the grid, search for N with N*M_h = M_h''*gamma(N) where
     h'' = r*h2(r^2 T), degree of N capped at deg_bound (0..MAX_DEG_BOUND).
     Every result is exactly verified; an empty list is a valid
-    (non-)finding."""
+    (non-)finding.  M_h is built once for the grid; ``conjugators_between``
+    checks it with each target, as its closed form costs less than one
+    structured matrix product."""
     if not 0 <= deg_bound <= MAX_DEG_BOUND:
         raise ValueError(f"degree bound must be in 0..{MAX_DEG_BOUND}")
     grid = [as_rational(r) for r in r_grid]
     if not grid or any(not r for r in grid):
         raise ValueError("r_grid must be nonempty with nonzero entries")
     m_src = make_twist(FormSpec(m, h))
-    _require_cocycles(m_src)
     results = []
     for r in grid:
         m_dst = make_twist(FormSpec(m, h2.apply_scaling(r)))
-        found = conjugators_between(m_src, m_dst, deg_bound, source_checked=True)
+        found = conjugators_between(m_src, m_dst, deg_bound)
         results.extend((r, matrix) for matrix in found)
     return results

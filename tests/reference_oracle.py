@@ -176,10 +176,9 @@ def reference_bases(m_src, m_dst, deg_bound):
                  for sign in (+1, -1))
 
 
-def reference_conjugators_between(m_src, m_dst, deg_bound, *, source_checked=False):
+def reference_conjugators_between(m_src, m_dst, deg_bound):
     """The scan with every candidate built as a matrix and filtered by
-    ``StructuredMatrix.det``; it checks no cocycle, so ``source_checked``
-    changes nothing."""
+    ``StructuredMatrix.det``; it checks no cocycle."""
     found = []
     seen = set()
     for re_vec, im_vec in reference_candidates(*reference_bases(m_src, m_dst, deg_bound)):

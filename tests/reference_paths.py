@@ -51,6 +51,10 @@ Helpers that only the tests need:
   map, component i of weighted degree w_i (``weight_check`` checks the
   opposite grading of a circle form).
 * ``diagonal``: the constant matrix diag(top, bottom) at cross-exponent e.
+* ``swap``: the holomorphic swap-twin (R, a^e S; b^e Q, P) of a structured
+  matrix, gamma without conjugation; the product M * swap(M) is the
+  reference for ``forms.verify_bundle_involution``, and the conjugation
+  blocks of the oracle are written with it.
 * ``coordinate_swap``: the holomorphic map (a, b, x, y) -> (b, a, y, x).
 * ``fixed_point_shape`` (with ``constant_value``): alpha for a matrix
   diag(alpha, conj(alpha)), the shape of every twist-fixed unit.
@@ -381,6 +385,11 @@ def diagonal(e, top, bottom):
     """The constant matrix diag(top, bottom) at cross-exponent e."""
     zero = LaurentPoly.zero()
     return StructuredMatrix(e, LaurentPoly.constant(top), zero, zero, LaurentPoly.constant(bottom))
+
+
+def swap(matrix):
+    """The holomorphic swap-twin (R, a^e S; b^e Q, P) of a structured matrix."""
+    return StructuredMatrix(matrix.e, matrix.R, matrix.S, matrix.Q, matrix.P)
 
 
 def coordinate_swap():

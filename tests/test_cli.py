@@ -521,14 +521,20 @@ class TestCase12SharedChecks:
     def test_failed_check_fails_cli_and_selftest_criterion(self, capsys, monkeypatch):
         from circleforms import acceptance
 
-        monkeypatch.setattr(forms, "verify_case12_bundle", lambda twist: False)
+        # real, det 1, and S != -Q: not an involution
+        one, t = LaurentPoly.one(), LaurentPoly.variable()
+        twist = StructuredMatrix(4, one, t, LaurentPoly.zero(), one)
+        monkeypatch.setattr(forms, "case12_twist", lambda: twist)
+        monkeypatch.setattr(acceptance, "case12_twist", lambda: twist)
         code, out, _ = run(capsys, "case12")
         assert code == 1
         assert "FAIL  bundle_conditions" in out
-        assert "ok  linearization" in out
+        assert "FAIL  involution_relations" in out
+        assert "ok  conjugator_not_real" in out
         assert out.endswith("case12 verification FAILED\n")
         passed, detail = acceptance.case12_suite()
         assert not passed
+        assert detail.startswith("failed: ")
         assert "bundle_conditions" in detail
 
     def test_non_involution_twist_fails_involution_relations(self, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleforms import (
     FormSpec,
@@ -19,7 +21,7 @@ from circleforms import (
     make_circle_form,
     make_splitting,
     make_twist,
-    verify_case12_bundle,
+    verify_bundle_involution,
     verify_cocycle,
     verify_splitting,
     weight_check,
@@ -27,7 +29,17 @@ from circleforms import (
 from circleforms import cli, forms
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
-from reference_paths import base_rescale, coordinate_swap, holomorphic_weight_check
+from reference_paths import base_rescale, coordinate_swap, diagonal, holomorphic_weight_check, swap
+from strategies import (
+    bundle_involutions,
+    lambda_matrices,
+    laurents,
+    nonzero_gaussians,
+    nonzero_real_gaussians,
+    real_small_polys,
+    structured,
+    structured_matrices,
+)
 
 T = LaurentPoly.variable()
 one = LaurentPoly.one()
@@ -157,6 +169,80 @@ class TestCocycle:
         assert not verify_cocycle(m)
 
 
+def product_is_identity(m):
+    """M * swap(M) == I and swap(M) * M == I, as two structured products."""
+    ident = StructuredMatrix.identity(m.e)
+    return m * swap(m) == ident and swap(m) * m == ident
+
+
+def scaled(m, c):
+    """c * M: S = -Q is kept, det M is multiplied by c^2."""
+    return diagonal(m.e, c, c) * m
+
+
+E_VALUES = st.sampled_from((3, 4, 5))
+# det 1, mostly S != -Q: products of elementary factors
+SPECIAL_LINEAR = E_VALUES.flatmap(lambda e: lambda_matrices(e, units=st.just(GaussianRational(1))))
+POLYNOMIAL_MATRICES = st.one_of(
+    structured_matrices,
+    bundle_involutions(),
+    st.builds(scaled, bundle_involutions(), nonzero_gaussians),
+    SPECIAL_LINEAR,
+)
+REAL_INVOLUTIONS = bundle_involutions(polys=real_small_polys, units=nonzero_real_gaussians)
+REAL_POLYNOMIAL_MATRICES = st.one_of(
+    structured(entry_strategy=real_small_polys),
+    REAL_INVOLUTIONS,
+    st.builds(scaled, REAL_INVOLUTIONS, nonzero_real_gaussians),
+    E_VALUES.flatmap(lambda e: lambda_matrices(e, real_small_polys, st.just(GaussianRational(1)))),
+)
+
+
+class TestBundleInvolution:
+    """verify_bundle_involution's closed form S == -Q and det M == 1 against
+    the two products M * swap(M) and swap(M) * M, and against verify_cocycle
+    where swap(M) = gamma(M)."""
+
+    @given(m=POLYNOMIAL_MATRICES)
+    @settings(max_examples=200)
+    def test_closed_form_is_the_product(self, m):
+        assert verify_bundle_involution(m) == product_is_identity(m)
+
+    @given(m=REAL_POLYNOMIAL_MATRICES)
+    @settings(max_examples=200)
+    def test_closed_form_is_the_cocycle_on_real_matrices(self, m):
+        assert verify_bundle_involution(m) == verify_cocycle(m)
+
+    @given(m=st.one_of(bundle_involutions(), REAL_INVOLUTIONS))
+    @settings(max_examples=50)
+    def test_involutions_are_drawn(self, m):
+        assert product_is_identity(m)
+        assert verify_bundle_involution(m)
+
+    @given(m=structured(entry_strategy=laurents).filter(lambda m: not m.is_polynomial))
+    @settings(max_examples=100)
+    def test_laurent_matrices_get_false(self, m):
+        assert not verify_bundle_involution(m)
+
+    def test_laurent_involutions_get_false(self):
+        t2 = LaurentPoly.monomial(-2)
+        # M * swap(M) = I, though S != -Q: the equivalence needs polynomials
+        outside = StructuredMatrix(4, zero, t2, t2, zero)
+        # S = -Q and det 1, but Laurent
+        inside = StructuredMatrix(4, zero, t2, -t2, one)
+        for m in (outside, inside):
+            assert product_is_identity(m) and verify_cocycle(m)
+            assert not verify_bundle_involution(m)
+
+    def test_family_and_case12_twists(self):
+        for m in (make_twist(FormSpec(3, LaurentPoly.from_coeffs([1, -2]))), case12_twist(),
+                  StructuredMatrix.identity(5)):
+            assert verify_bundle_involution(m)
+        assert not verify_bundle_involution(StructuredMatrix(3, LaurentPoly.constant(2),
+                                                             zero, zero, one))
+        assert not verify_bundle_involution(case12_conjugator())
+
+
 def check_splitting(spec):
     return verify_splitting(make_twist(spec), make_splitting(spec))
 
@@ -250,15 +336,8 @@ class TestCase12:
                 denominators.add(Fraction(c.im).denominator)
         assert denominators <= {1, 2, 4}
 
-    def test_swap_twist_of_twist(self):
-        swapped = case12_twist().s_twist()
-        assert swapped.P == one + T + T ** 2 + T ** 3
-        assert swapped.Q == -one
-        assert swapped.S == one
-        assert swapped.R == one - T
-
     def test_bundle_conditions(self):
-        assert verify_case12_bundle(case12_twist())
+        assert verify_bundle_involution(case12_twist())
         assert verify_cocycle(case12_twist())  # real entries: twist == swap-twin
 
     def test_involution_relations(self):

@@ -153,16 +153,6 @@ class TestGalois:
         assert m.galois().det() == m.det().bar()
 
 
-class TestSwapTwist:
-    @given(m=structured_matrices)
-    def test_involution(self, m):
-        assert m.s_twist().s_twist() == m
-
-    def test_agrees_with_galois_on_real(self):
-        m = StructuredMatrix(3, one - T, one, -one, one + T)
-        assert m.s_twist() == m.galois()
-
-
 class TestBaseRescale:
     """The (a, b) -> (ra, rb) substitution of ``reference_paths``, which the
     scaling cross-check in test_forms relies on, acts as a substitution."""

@@ -20,13 +20,13 @@ from circleforms import (
     make_twist,
     nullspace,
     search_conjugator,
-    verify_cocycle,
     verify_conjugation,
 )
+from circleforms import oracle
 from circleforms.oracle import MAX_DEG_BOUND
 
 from reference_oracle import conjugation_block, fraction_solve_linear
-from reference_paths import conjugates_by_inverse, proof_conditions, unit_inverse
+from reference_paths import conjugates_by_inverse, proof_conditions, swap, unit_inverse
 from strategies import lambda_matrices, real_polys
 
 T = LaurentPoly.variable()
@@ -140,7 +140,7 @@ class TestBlockAssembly:
         entries = [LaurentPoly({j: u[i * width + j] for j in range(width)})
                    for i in range(4)]
         cand = StructuredMatrix(3, *entries)
-        residual = _entry_difference(cand * m_src, m_dst * cand.s_twist())
+        residual = _entry_difference(cand * m_src, m_dst * swap(cand))
         block = conjugation_block(m_src, m_dst, deg, +1)
         vec = [F(u[i]) for i in range(8)]
         evaluated = [sum(a * x for a, x in zip(row, vec)) for row in block.rows]
@@ -159,8 +159,8 @@ class TestBlockAssembly:
         scale = LaurentPoly.constant(-sign)
         neg_dst = StructuredMatrix(m_dst.e, scale, zero, zero, scale) * m_dst
         residual = StructuredMatrix(cand.e, *(p + q for p, q in zip(
-            (cand * m_src).entries(), (neg_dst * cand.s_twist()).entries())))
-        assert residual == neg_dst * residual.s_twist() * m_src
+            (cand * m_src).entries(), (neg_dst * swap(cand)).entries())))
+        assert residual == neg_dst * swap(residual) * m_src
 
     def test_conjugate_linearity_decomposition(self):
         # N = U + iV: the residual against gamma splits into the two blocks,
@@ -174,8 +174,8 @@ class TestBlockAssembly:
             v_mat = _random_real_matrix(rng, 3)
             n_mat = _combine(u_mat, v_mat)
             res = _entry_difference(n_mat * m_src, m_dst * n_mat.galois())
-            res_re = _entry_difference(u_mat * m_src, m_dst * u_mat.s_twist())
-            neg_swap = m_dst * v_mat.s_twist()
+            res_re = _entry_difference(u_mat * m_src, m_dst * swap(u_mat))
+            neg_swap = m_dst * swap(v_mat)
             res_im = tuple(p + q for p, q in
                            zip((v_mat * m_src).entries(), neg_swap.entries()))
             recombined = tuple(p + q * i_unit for p, q in zip(res_re, res_im))
@@ -257,19 +257,6 @@ class TestSearch:
         search_conjugator(poly(1, 1), poly(2, 8), 2, 1, grid)
         assert len(calls) == 1 + len(grid)
 
-    def test_source_cocycle_checked_once(self, monkeypatch):
-        checked = []
-
-        def counting_verify_cocycle(matrix):
-            checked.append(matrix)
-            return verify_cocycle(matrix)
-
-        monkeypatch.setattr("circleforms.oracle.verify_cocycle", counting_verify_cocycle)
-        grid = [F(1), F(-1), F(1, 2)]
-        search_conjugator(poly(1, 1), poly(2, 8), 2, 1, grid)
-        assert len(checked) == 1 + len(grid)
-        assert checked[0] == make_twist(FormSpec(2, poly(1, 1)))
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             search_conjugator(one, one, 1, 3, [])
@@ -343,6 +330,22 @@ class TestConjugatorsBetween:
                     vec.append(F(c.re if component == "re" else c.im))
             residuals = [sum(a * x for a, x in zip(row, vec)) for row in block.rows]
             assert all(v == 0 for v in residuals)
+
+    def test_refused_before_any_system(self, monkeypatch):
+        def no_system(*args):
+            raise AssertionError("a system was built")
+
+        monkeypatch.setattr(oracle, "_conjugation_bases", no_system)
+        twist = make_twist(FormSpec(1, poly(1, 2)))
+        # real and polynomial, det 1 but S != -Q: not a cocycle
+        sheared = StructuredMatrix(3, one, T, zero, one)
+        # S = -Q and det 1, but Laurent
+        laurent = StructuredMatrix(4, zero, LaurentPoly.monomial(-2),
+                                   -LaurentPoly.monomial(-2), one)
+        for m_src, m_dst in ((sheared, twist), (twist, sheared), (laurent, case12_twist()),
+                             (case12_twist(), laurent)):
+            with pytest.raises(ValueError, match="polynomial cocycles"):
+                conjugators_between(m_src, m_dst, 2)
 
     def test_non_real_cocycle_is_refused(self):
         # diag(i, i) is a polynomial cocycle whose entries are not real
