@@ -11,7 +11,7 @@ certificates, and an independent brute-force conjugator search.
 from types import ModuleType as _ModuleType
 
 from .gaussian import GaussianRational, format_rational, parse_rational, rational_odd_root
-from .laurent import LaurentPoly, geometric_sum
+from .laurent import LaurentPoly
 from .matrices import StructuredMatrix
 from .polymaps import (
     MultiPoly,

@@ -17,6 +17,11 @@ j up to m-1 (bottom left, inside the T^-m factor) and up to m (bottom right).
 Any other reading breaks det(K_h) = 1, which is checked symbolically in the
 tests over a grid of (m, h).
 
+Each of M_h and K_h is built from one packing of h = H/d (the laurent
+docstring): h^n is one int power, every geometric sum one Horner
+recurrence on the packed x = T*h^2, and each entry one signed-digit read,
+at one width per matrix; no Laurent product is formed.
+
 family_checks is the one list of the checks that make mu_h a real circle
 form: det M_h = 1, M_h * gamma(M_h) = I, K_h = M_h * gamma(K_h), mu_h^2 = id
 and the weight grading.  The cocycle is read in closed form: M_h is real,
@@ -53,7 +58,7 @@ from fractions import Fraction
 from operator import index
 
 from .gaussian import GaussianRational
-from .laurent import LaurentPoly, geometric_sum
+from .laurent import LaurentPoly, _geometric_packing, _unpacked
 from .matrices import StructuredMatrix
 from .polymaps import MultiPoly, PolyMap, compose, expand
 
@@ -90,15 +95,15 @@ class FormSpec:
 
 def _twist(n: int, h: LaurentPoly) -> StructuredMatrix:
     """The twist formula at cross-exponent n: (1 - T*h^2, a^n h^n; -b^n h^n,
-    sum_{j<n} (T*h^2)^j)."""
-    th2 = LaurentPoly.variable() * h * h
-    hn = h ** n
+    sum_{j<n} (T*h^2)^j), from one packing of the real polynomial h."""
+    bits, packed, x, den, _, total = _geometric_packing(h, n)
+    hn = _unpacked(packed ** n, 0, bits, h._den ** n)
     return StructuredMatrix(
         n,
-        LaurentPoly.one() - th2,
+        _unpacked(den - x, 0, bits, den),
         hn,
         -hn,
-        geometric_sum(th2, n),
+        _unpacked(total, 0, bits, den ** (n - 1)),
     )
 
 
@@ -108,13 +113,15 @@ def make_twist(spec: FormSpec) -> StructuredMatrix:
 
 
 def splitting_entries(spec: FormSpec) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """The Laurent entries (q_h, s_h, r_h) of the splitting matrix K_h."""
+    """The Laurent entries (q_h, s_h, r_h) of the splitting matrix K_h, from
+    one packing of h: q_h = h*T^-m shifts h's exponents, s_h is h times
+    N_m/D^(m-1) = sum_{j<m} (T*h^2)^j read from T^-m, and r_h =
+    sum_{j<=m} (T*h^2)^j is N_(m+1)/D^m."""
     m, h = spec.m, spec.h
-    th2 = LaurentPoly.variable() * h * h
-    t_neg_m = LaurentPoly.monomial(-m)
-    below_m = geometric_sum(th2, m)
-    # sum_{j<=m} (Th^2)^j = 1 + Th^2 * sum_{j<m} (Th^2)^j
-    return h * t_neg_m, h * below_m * t_neg_m, LaurentPoly.one() + th2 * below_m
+    bits, packed, _, den, below, total = _geometric_packing(h, m + 1)
+    return (LaurentPoly._make({k - m: c for k, c in h._re.items()}, {}, h._den),
+            _unpacked(packed * below, -m, bits, h._den * den ** (m - 1)),
+            _unpacked(total, 0, bits, den ** m))
 
 
 def make_splitting(spec: FormSpec) -> StructuredMatrix:
@@ -199,11 +206,12 @@ def family_checks(spec: FormSpec) -> dict[str, bool]:
     is real), the splitting K_h = M_h * gamma(K_h), mu_h^2 = id and the
     weight grading.  M_h and K_h are each built once; mu_h^2 = id and the
     weight grading are derived, with the lemma, from the cocycle and
-    verify_weight_grading (which reads e = n)."""
+    verify_weight_grading (which reads e = n).  The cocycle holds only with
+    det M_h = 1, so det M_h is computed again only when it fails."""
     twist = make_twist(spec)
     cocycle = verify_bundle_involution(twist)
     return {
-        "det_is_one": twist.det() == LaurentPoly.one(),
+        "det_is_one": cocycle or twist.det() == LaurentPoly.one(),
         "cocycle": cocycle,
         "splitting": verify_splitting(twist, make_splitting(spec)),
         "involution": cocycle,

@@ -35,6 +35,35 @@ numerator of the sum is therefore at most
 B = sum_k f_k * min(||x_k||_1 * ||y_k||_inf, ||x_k||_inf * ||y_k||_1), and
 bits = B.bit_length() + 1 keeps it a signed digit below 2^(bits-1).
 
+The twist and the splitting matrix of ``forms`` are built from powers of
+x = T*h^2 for a real polynomial h = H/d, H with integer coefficients and
+d > 0, through one packing of H (``_geometric_packing``).  Evaluation at
+2^bits is a ring homomorphism Z[T] -> Z at every width, so with
+Hp = H(2^bits) the packed H^n is Hp^n, the packed T*H^2 is
+X = 2^bits * Hp^2, and with D = d^2 the Horner recurrence
+
+    N_0 = 0,   N_(k+1) = X * N_k + D^k
+
+packs N_k = sum_(j<k) (T*H^2)^j * D^(k-1-j) = D^(k-1) * sum_(j<k) x^j.
+Nothing is divided: (X^k - D^k) // (X - D) is N_k too, but CPython's long
+division is quadratic in the length.  Only reading an integer back as
+signed digits needs a width, and one rule serves every value read.  With
+M = max(||H||_1, d) >= 1 and count >= 1 the longest sum read,
+
+    bits = (count * M^(2*count)).bit_length() + 1
+
+puts B = count * M^(2*count) below 2^(bits-1).  As ||A*B||_1 <=
+||A||_1 * ||B||_1, ||H^j||_1 <= ||H||_1^j <= M^j, and as M >= 1 every
+coefficient of every value read is at most B:
+  * D - X, the numerator of 1 - x: its constant term is D = d^2 <= M^2,
+    and every other is one of T*H^2, at most ||H||_1^2 <= M^2;
+  * H^n for n <= count: at most M^n;
+  * N_k for k <= count: k terms, the j-th at most
+    ||H||_1^(2j) * d^(2(k-1-j)) <= M^(2k-2), so at most k * M^(2k-2);
+  * H * N_k for k < count: at most M * k * M^(2k-2) = k * M^(2k-1).
+A narrower width would read wrong coefficients without any error, so this
+bound is what keeps them exact.
+
 Arithmetic takes operands of one type: ``+ - * ==`` pair two polynomials of
 the same class, and a scalar c enters through a constructor, as in
 ``p * LaurentPoly.constant(c)``.
@@ -376,14 +405,24 @@ class LaurentPoly(SparsePoly):
                                valuation=obj["valuation"])
 
 
-def geometric_sum(base: LaurentPoly, count: int) -> LaurentPoly:
-    """sum_{j=0}^{count-1} base^j  (the empty sum is 0, count=1 gives 1)."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    total = LaurentPoly.zero()
-    power = LaurentPoly.one()
-    for j in range(count):
-        if j:
-            power = power * base
-        total = total + power
-    return total
+def _unpacked(value: int, low: int, bits: int, den: int) -> LaurentPoly:
+    """The real Laurent polynomial whose numerators over den are the signed
+    base-2^bits digits of value, the lowest at T^low."""
+    return LaurentPoly._make(_unpack(value, low, bits), {}, den)
+
+
+def _geometric_packing(h: LaurentPoly, count: int) -> tuple[int, int, int, int, int, int]:
+    """(bits, Hp, X, D, N_(count-1), N_count) for a real polynomial h = H/d
+    and count >= 1, with the width and the Horner recurrence of the module
+    docstring: Hp = H(2^bits), X = 2^bits * Hp^2 and D = d^2."""
+    d = h._den
+    size = max(sum(map(abs, h._re.values())), d)
+    bits = (count * size ** (2 * count)).bit_length() + 1
+    packed = _evaluate(h._re.items(), 0, bits)
+    x, den = packed * packed << bits, d * d
+    below = total = 0
+    power = 1
+    for _ in range(count):
+        below, total = total, x * total + power
+        power *= den
+    return bits, packed, x, den, below, total

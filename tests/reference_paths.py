@@ -39,6 +39,12 @@ by the package.
 * ``init_by_records``: ``SparsePoly.__init__`` as it was when every
   coefficient became a ``GaussianRational`` before it entered the store,
   against which the constructor that reads scalars directly is cross-checked.
+* ``product_twist``, ``product_splitting_entries`` and ``geometric_sum``:
+  the twist M_h and the entries of K_h built from Laurent products, h^n by
+  repeated squaring and each sum sum_{j<k} (T*h^2)^j one product per term,
+  against which ``forms._twist`` and ``forms.splitting_entries`` (one
+  packing of h each) are cross-checked.  ``geometric_sum`` also builds the
+  twist formula at non-real h for ``strategies.bundle_involutions``.
 
 Helpers that only the tests need:
 
@@ -77,7 +83,7 @@ from circleforms import (
     make_invariants,
 )
 from circleforms.equivalence import InternalConsistencyError
-from circleforms.forms import _require_real_poly, splitting_entries
+from circleforms.forms import _require_real_poly
 from circleforms.gaussian import power, rational_odd_root
 from circleforms.laurent import _evaluate, _unpack
 from circleforms.polymaps import _check_weights
@@ -428,8 +434,8 @@ def proof_conditions(h, h_target, m, alpha):
     """
     if is_zero(alpha):
         raise ValueError("alpha must be nonzero")
-    q_h, s_h, r_h = splitting_entries(FormSpec(m, h))
-    q_t, s_t, r_t = splitting_entries(FormSpec(m, h_target))
+    q_h, s_h, r_h = product_splitting_entries(FormSpec(m, h))
+    q_t, s_t, r_t = product_splitting_entries(FormSpec(m, h_target))
     bar_alpha = LaurentPoly.constant(conj(alpha))
     alpha = LaurentPoly.constant(alpha)
     cond_q = q_t * alpha - q_h * bar_alpha
@@ -561,3 +567,34 @@ def init_by_records(self, terms=None):
             self._re[k] = c.re.numerator * (den // c.re.denominator)
         if c.im:
             self._im[k] = c.im.numerator * (den // c.im.denominator)
+
+
+def geometric_sum(base, count):
+    """sum_{j=0}^{count-1} base^j  (the empty sum is 0, count=1 gives 1)."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    total = LaurentPoly.zero()
+    power = LaurentPoly.one()
+    for j in range(count):
+        if j:
+            power = power * base
+        total = total + power
+    return total
+
+
+def product_twist(n, h):
+    """The twist formula at cross-exponent n: (1 - T*h^2, a^n h^n; -b^n h^n,
+    sum_{j<n} (T*h^2)^j), from Laurent products."""
+    th2 = LaurentPoly.variable() * h * h
+    hn = h ** n
+    return StructuredMatrix(n, LaurentPoly.one() - th2, hn, -hn, geometric_sum(th2, n))
+
+
+def product_splitting_entries(spec):
+    """The entries (q_h, s_h, r_h) of K_h, from Laurent products."""
+    m, h = spec.m, spec.h
+    th2 = LaurentPoly.variable() * h * h
+    t_neg_m = LaurentPoly.monomial(-m)
+    below_m = geometric_sum(th2, m)
+    # sum_{j<=m} (Th^2)^j = 1 + Th^2 * sum_{j<m} (Th^2)^j
+    return h * t_neg_m, h * below_m * t_neg_m, LaurentPoly.one() + th2 * below_m

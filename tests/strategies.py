@@ -6,9 +6,9 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from circleforms import GaussianRational, LaurentPoly, MultiPoly, StructuredMatrix, geometric_sum
+from circleforms import GaussianRational, LaurentPoly, MultiPoly, StructuredMatrix
 
-from reference_paths import diagonal, is_zero, swap, unit_inverse
+from reference_paths import diagonal, geometric_sum, is_zero, swap, unit_inverse
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 nonzero_rationals = rationals.filter(bool)

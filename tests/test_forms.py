@@ -29,13 +29,22 @@ from circleforms import (
 from circleforms import cli, forms
 from circleforms.forms import CASE12_WEIGHTS, splitting_entries
 
-from reference_paths import base_rescale, coordinate_swap, diagonal, holomorphic_weight_check, swap
+from reference_paths import (
+    base_rescale,
+    coordinate_swap,
+    diagonal,
+    holomorphic_weight_check,
+    product_splitting_entries,
+    product_twist,
+    swap,
+)
 from strategies import (
     bundle_involutions,
     lambda_matrices,
     laurents,
     nonzero_gaussians,
     nonzero_real_gaussians,
+    real_polys,
     real_small_polys,
     structured,
     structured_matrices,
@@ -154,6 +163,84 @@ class TestSplittingConstructor:
         assert q * LaurentPoly.monomial(m) == h
         assert s * LaurentPoly.monomial(m) == h * (one + th2)
         assert r == one + th2 + th2 ** 2
+
+
+# Real h for the packed constructors: the shared small rationals (zero,
+# constants and negative constants among them), and 30-digit numerators
+# and denominators, whose widths are far from the small ones.
+wide_rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+FAMILY_POLYS = st.one_of(real_polys, st.lists(wide_rationals, max_size=4).map(LaurentPoly.from_coeffs))
+
+
+def same_twist_and_splitting(m, h):
+    spec = FormSpec(m, h)
+    assert make_twist(spec) == product_twist(spec.n, h)
+    assert splitting_entries(spec) == product_splitting_entries(spec)
+
+
+class TestPackedConstructors:
+    """make_twist and splitting_entries, one packing of h each at the width
+    of the laurent docstring, against the Laurent-product references."""
+
+    @given(m=st.integers(1, 8), h=FAMILY_POLYS)
+    @settings(max_examples=150)
+    def test_equal_to_products(self, m, h):
+        same_twist_and_splitting(m, h)
+
+    def test_minus_one_half_at_m1(self):
+        # x = T/4, so D = 4 and the splitting's sum below m has one term
+        h = LaurentPoly.constant(Fraction(-1, 2))
+        same_twist_and_splitting(1, h)
+        quarter = LaurentPoly.monomial(1, Fraction(1, 4))
+        twist = make_twist(FormSpec(1, h))
+        assert twist.P == one - quarter
+        assert twist.Q == LaurentPoly.constant(Fraction(-1, 8)) == -twist.S
+        assert twist.R == one + quarter + quarter * quarter
+        q, s, r = splitting_entries(FormSpec(1, h))
+        assert q == s == LaurentPoly.monomial(-1, Fraction(-1, 2))
+        assert r == one + quarter
+
+    def test_zero(self):
+        for m in range(1, 9):
+            same_twist_and_splitting(m, zero)
+            assert splitting_entries(FormSpec(m, zero)) == (zero, zero, one)
+
+    def test_case12(self):
+        assert case12_twist() == product_twist(4, one)
+
+    def test_digit_cap(self):
+        # 10^4299 is the widest coefficient the command line reads
+        big = 10 ** 4299
+        same_twist_and_splitting(2, LaurentPoly.from_coeffs([big, big]))
+
+    def test_no_laurent_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Laurent product was formed")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "__pow__", refuse)
+        spec = FormSpec(3, LaurentPoly.from_coeffs([1, Fraction(-2, 3), 5]))
+        make_twist(spec)
+        splitting_entries(spec)
+        case12_twist()
+
+
+class TestFamilyChecks:
+    def test_det_of_the_twist_is_read_once(self, monkeypatch):
+        dets = []
+        det = StructuredMatrix.det
+
+        def counted(matrix):
+            dets.append(matrix.Q.is_polynomial)
+            return det(matrix)
+
+        monkeypatch.setattr(StructuredMatrix, "det", counted)
+        checks = family_checks(FormSpec(2, LaurentPoly.from_coeffs([1, -2, 3])))
+        assert all(checks.values())
+        assert list(checks) == ["det_is_one", "cocycle", "splitting", "involution",
+                                "weight_grading"]
+        # one det of M_h (in the bundle check) and one of K_h
+        assert sorted(dets) == [False, True]
 
 
 class TestCocycle:

